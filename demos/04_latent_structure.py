@@ -10,7 +10,7 @@ across classes, and unsupervised k-means against the true labels.
 
 import numpy as np
 
-from pmvl.adversarial import GanConfig, extract_latents, train_unsupervised
+from pmvl.adversarial import GanConfig, train_unsupervised
 from pmvl.data import MissingSpec, apply_missing_pattern, synth_dataset
 from pmvl.metrics import evaluate_clustering
 from pmvl.supervised import TrainConfig, train
@@ -36,5 +36,5 @@ print(f"k-means on supervised latents    : acc {clu.acc:.3f}, nmi {clu.nmi:.3f}"
 # the unsupervised trainer also yields a latent table, with no labels at all
 gan = train_unsupervised(masked, GanConfig(latent_dim=16, lr=0.05,
                                            epochs=200, hidden_dims=(64,), seed=2))
-clu = evaluate_clustering(extract_latents(gan).H, masked.labels, seed=2)
+clu = evaluate_clustering(gan.latent.H, masked.labels, seed=2)
 print(f"k-means on unsupervised latents  : acc {clu.acc:.3f}, nmi {clu.nmi:.3f}")

@@ -12,7 +12,6 @@ round out the toolkit; the `pmvl` command drives it all from the shell.
 from .adversarial import (
     AdversarialModel,
     GanConfig,
-    extract_latents,
     impute,
     load_gan,
     save_gan,
@@ -62,7 +61,7 @@ from .supervised import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdversarialModel", "GanConfig", "extract_latents", "impute",
+    "AdversarialModel", "GanConfig", "impute",
     "load_gan", "save_gan", "train_unsupervised",
     "CLASS_MEAN", "GLOBAL_MEAN", "SVD", "SvdParams",
     "concat_classify", "impute_baseline",

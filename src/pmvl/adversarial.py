@@ -15,36 +15,39 @@ Views with nothing missing contribute nothing, so on complete data the
 whole adversarial apparatus is inert and training reduces to alternating
 least-squares descent. Imputation fills only the masked slots with
 generator outputs; observed entries are never overwritten.
+
+The generators are the decoders of `latent.py`: latent table, set-up,
+masked residual and checkpoint layout are shared with the supervised
+path; this module adds the discriminators and their loss terms.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .data import MultiViewDataset
-from .errors import ConfigurationError, InputError, TrainingError
-from .metrics import nrmse
-from .nets import (
-    SIGMOID_ALL,
-    SIGMOID_HIDDEN,
-    backward,
-    forward,
-    init_net,
-    load_net,
-    save_net,
-    sgd_step,
+from .errors import InputError
+from .latent import (
+    Checkpoint,
+    LatentConfig,
+    LatentTable,
+    check_finite,
+    init_latent_model,
+    latent_pullback,
+    reconstruction_loss,
+    residual,
+    save_checkpoint,
 )
-from .supervised import LatentTable, reconstruction_loss
+from .metrics import nrmse
+from .nets import SIGMOID_ALL, backward, forward, init_net, sgd_step
 
 LOG_EPS = 1e-7  # scores are clamped to [eps, 1-eps] before any log
 
 
 @dataclass
-class GanConfig:
+class GanConfig(LatentConfig):
     """Knobs for the adversarial training loop.
 
     One shared step size drives all three phases; latent updates use
@@ -64,27 +67,8 @@ class GanConfig:
     hidden_dims: tuple = (64,)
 
     def __post_init__(self):
-        for name in ("latent_dim", "epochs", "d_steps", "g_steps", "h_steps"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
-        if self.lr <= 0:
-            raise ConfigurationError("lr must be positive")
-        if self.adv_weight < 0:
-            raise ConfigurationError("adv_weight must be >= 0")
-        self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
-        if any(d <= 0 for d in self.hidden_dims):
-            raise ConfigurationError("hidden_dims must be positive")
-
-    def to_dict(self):
-        d = dict(self.__dict__)
-        d["hidden_dims"] = list(self.hidden_dims)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["hidden_dims"] = tuple(d.get("hidden_dims", ()))
-        return cls(**d)
+        self._validate(("latent_dim", "epochs", "d_steps", "g_steps", "h_steps", "lr"),
+                       ("adv_weight",))
 
 
 @dataclass
@@ -109,11 +93,6 @@ class ImputationResult:
     completed: MultiViewDataset
     per_view_nrmse: list | None = None
     overall_nrmse: float | None = None
-
-
-def unsup_reconstruction_loss(model, data):
-    """Masked squared error of the generators on observed slots, over N."""
-    return reconstruction_loss(model.generators, model.latent, data)
 
 
 def adversarial_loss(model, data):
@@ -147,12 +126,6 @@ def _log_upstream(scores, sign, count):
     return np.where(inside, -1.0 / (1.0 - scores), 0.0) / count
 
 
-def _add_bundle_into(acc, bundle):
-    for i in range(len(acc.d_weights)):
-        acc.d_weights[i] += bundle.d_weights[i]
-        acc.d_biases[i] += bundle.d_biases[i]
-
-
 def discriminator_gradients(model, data):
     """Exact adversarial-loss gradients per discriminator; None when inert."""
     out = []
@@ -168,7 +141,7 @@ def discriminator_gradients(model, data):
         if obs.any():
             x = data.views[v][obs]
             scores_r = forward(disc, x)
-            _add_bundle_into(bundle, backward(disc, x, _log_upstream(scores_r, +1, int(obs.sum()))))
+            bundle.accumulate(backward(disc, x, _log_upstream(scores_r, +1, int(obs.sum()))))
         out.append(bundle)
     return out
 
@@ -184,7 +157,7 @@ def combined_upstreams(model, data):
     ups = []
     for v, gen in enumerate(model.generators):
         out = forward(gen, model.latent.H)
-        u = (2.0 / n) * (out - data.views[v]) * data.mask[:, v:v + 1]
+        u = (2.0 / n) * residual(out, data.views[v], data.mask[:, v:v + 1])
         miss = data.mask[:, v] == 0
         if model.config.adv_weight > 0 and miss.any():
             disc = model.discriminators[v]
@@ -202,27 +175,14 @@ def latent_gradient(model, data):
     N rescale keeps latent step sizes meaningful independent of dataset
     size, matching the supervised trainer's convention.
     """
-    g = np.zeros_like(model.latent.H)
-    for v, u in enumerate(combined_upstreams(model, data)):
-        g += backward(model.generators[v], model.latent.H, u).d_input
+    g = latent_pullback(model.generators, model.latent.H, combined_upstreams(model, data))
     return data.n_samples * g
-
-
-def _check_finite(value, phase, epoch):
-    if not np.isfinite(value):
-        raise TrainingError(f"{phase} phase diverged at epoch {epoch}")
 
 
 def train_unsupervised(data, config=None):
     """Alternating discriminator-ascent, generator-descent, latent-descent."""
     config = config or GanConfig()
-    n, k = data.n_samples, config.latent_dim
-    rng = np.random.default_rng(config.seed)
-    latent = LatentTable(rng.uniform(-0.01, 0.01, size=(n, k)))
-    gens = [
-        init_net([k, *config.hidden_dims, d], activation=SIGMOID_HIDDEN, rng=rng)
-        for d in data.view_dims
-    ]
+    latent, gens, rng = init_latent_model(data, config)
     discs = [
         init_net([d, *reversed(config.hidden_dims), 1], activation=SIGMOID_ALL, rng=rng)
         for d in data.view_dims
@@ -233,26 +193,23 @@ def train_unsupervised(data, config=None):
             for disc, bundle in zip(discs, discriminator_gradients(model, data)):
                 if bundle is None:
                     continue
-                for i in range(len(bundle.d_weights)):  # ascend: flip the gradient
-                    bundle.d_weights[i] *= -1.0
-                    bundle.d_biases[i] *= -1.0
-                sgd_step(disc, bundle, config.lr)
+                sgd_step(disc, bundle.scale(-1.0), config.lr)  # ascent
         adv = adversarial_loss(model, data)
-        _check_finite(adv, "discriminator", epoch)
+        check_finite(adv, "discriminator phase", epoch)
         model.d_trace.append(adv)
 
         for _ in range(config.g_steps):
             for v, u in enumerate(combined_upstreams(model, data)):
                 sgd_step(gens[v], backward(gens[v], latent.H, u), config.lr)
         combined = config.adv_weight * adversarial_loss(model, data)
-        combined += unsup_reconstruction_loss(model, data)
-        _check_finite(combined, "generator", epoch)
+        combined += reconstruction_loss(gens, latent, data)
+        check_finite(combined, "generator phase", epoch)
         model.g_trace.append(combined)
 
         for _ in range(config.h_steps):
             latent.H -= config.lr * latent_gradient(model, data)
-        rec = unsup_reconstruction_loss(model, data)
-        _check_finite(rec, "latent", epoch)
+        rec = reconstruction_loss(gens, latent, data)
+        check_finite(rec, "latent phase", epoch)
         model.rec_trace.append(rec)
     return model
 
@@ -282,55 +239,23 @@ def impute(model, data, truth=None):
     return result
 
 
-def extract_latents(model):
-    """Trained latent table, for downstream clustering or inspection."""
-    return model.latent
-
-
 def save_gan(model, out_dir):
     """Checkpoint: manifest JSON plus per-view net files and the latents."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for i, net in enumerate(model.generators):
-        save_net(net, out_dir / f"gen_v{i}.json")
-    for i, net in enumerate(model.discriminators):
-        save_net(net, out_dir / f"disc_v{i}.json")
-    model.latent.H.astype("<f8").tofile(out_dir / "latent.bin")
-    manifest = {
-        "config": model.config.to_dict(),
-        "n_views": len(model.generators),
-        "view_dims": [net.output_dim for net in model.generators],
-        "n_samples": model.latent.n_rows,
-        "latent_dim": model.latent.dim,
-        "d_trace": model.d_trace,
-        "g_trace": model.g_trace,
-        "rec_trace": model.rec_trace,
-        "dtype": "<f8",
-    }
-    path = out_dir / "gan.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=1))
-    return path
+    nets = {"gen": model.generators, "disc": model.discriminators}
+    return save_checkpoint(
+        out_dir, "gan", nets, model.latent, model.config,
+        d_trace=model.d_trace, g_trace=model.g_trace, rec_trace=model.rec_trace,
+    )
 
 
 def load_gan(manifest_path):
-    manifest_path = Path(manifest_path)
-    if manifest_path.is_dir():
-        manifest_path = manifest_path / "gan.json"
-    m = json.loads(manifest_path.read_text())
-    base = manifest_path.parent
-    config = GanConfig.from_dict(m["config"])
-    gens = [load_net(base / f"gen_v{i}.json") for i in range(m["n_views"])]
-    discs = [load_net(base / f"disc_v{i}.json") for i in range(m["n_views"])]
-    latent = np.fromfile(base / "latent.bin", dtype="<f8")
-    expected = m["n_samples"] * m["latent_dim"]
-    if latent.size != expected:
-        raise InputError(f"latent.bin holds {latent.size} floats, expected {expected}")
+    ckpt = Checkpoint(manifest_path, "gan", GanConfig)
     return AdversarialModel(
-        latent=LatentTable(latent.reshape(m["n_samples"], m["latent_dim"])),
-        generators=gens,
-        discriminators=discs,
-        config=config,
-        d_trace=list(m.get("d_trace", [])),
-        g_trace=list(m.get("g_trace", [])),
-        rec_trace=list(m.get("rec_trace", [])),
+        latent=ckpt.latent(),
+        generators=ckpt.nets("gen"),
+        discriminators=ckpt.nets("disc"),
+        config=ckpt.config,
+        d_trace=list(ckpt.manifest.get("d_trace", [])),
+        g_trace=list(ckpt.manifest.get("g_trace", [])),
+        rec_trace=list(ckpt.manifest.get("rec_trace", [])),
     )

@@ -39,7 +39,7 @@ from .data import (
     split,
     synth_dataset,
 )
-from .errors import ConfigurationError, PmvlError
+from .errors import ConfigurationError, PmvlError, read_json_object
 from .metrics import evaluate_clustering, nrmse
 from .supervised import TrainConfig, evaluate, load_model, retune, save_model, train
 
@@ -93,7 +93,7 @@ def _settings(args, preset_table, keys, config_cls):
     """
     merged = dict(preset_table[args.preset])
     if args.config:
-        merged.update(json.loads(Path(args.config).read_text()))
+        merged.update(read_json_object(args.config, ConfigurationError))
     for key in keys:
         value = getattr(args, key, None)
         if value is not None:

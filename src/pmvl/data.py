@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, IngestionError, InputError, SplitError
+from .errors import ConfigurationError, IngestionError, InputError, SplitError, read_json_object
 from .nets import sigmoid
 
 
@@ -195,6 +195,12 @@ def load_csv_views(paths, label_path=None, mask_path=None, has_header=False, vie
             raise IngestionError(f"{mask_path}: row {empty[0] + 1} leaves no view available")
     else:
         mask = np.ones((n, len(views)), dtype=np.uint8)
+    for v, (p, x) in enumerate(zip(paths, views)):
+        hidden = mask[:, v] == 0
+        x[hidden] = 0.0  # whatever stood under a hidden slot, NaN included, is never read
+        bad = np.flatnonzero(~hidden & ~np.isfinite(x).all(axis=1))
+        if bad.size:
+            raise IngestionError(f"{p}: row {bad[0] + 1} has a non-finite cell in an observed slot")
     labels = None
     if label_path is not None:
         labels = _read_csv(label_path, "int", has_header).reshape(-1)
@@ -234,7 +240,7 @@ def save_dataset(data, out_dir, name="dataset"):
 
 def load_dataset(manifest_path):
     manifest_path = Path(manifest_path)
-    m = json.loads(manifest_path.read_text())
+    m = read_json_object(manifest_path, IngestionError)
     base = manifest_path.parent
     return load_csv_views(
         [base / f for f in m["views"]],

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON reader that raises them."""
+
+import json
+from pathlib import Path
 
 
 class PmvlError(Exception):
@@ -27,3 +30,14 @@ class TrainingError(PmvlError):
 
 class InputError(PmvlError):
     """A runtime input violates an operation's precondition."""
+
+
+def read_json_object(path, error):
+    """Parse a JSON file that must hold an object; anything else raises `error` naming it."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise error(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(value, dict):
+        raise error(f"{path}: expected a JSON object, got {type(value).__name__}")
+    return value

@@ -1,0 +1,178 @@
+"""The latent-model core under both the supervised and adversarial paths.
+
+Every sample owns a trainable latent row; per-view decoder nets f_v map it
+back to the views, scored on observed slots by the masked residual
+(f_v(H) - x_v) * s_v, so hidden slots add exact zeros to every loss and
+gradient. A checkpoint is a JSON manifest, `{role}_v{i}` net files and raw
+little-endian float64 arrays.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+
+from .errors import ConfigurationError, InputError, PmvlError, TrainingError, read_json_object
+from .nets import SIGMOID_HIDDEN, backward, forward, init_net, load_net, save_net
+
+
+@dataclass
+class LatentTable:
+    """One trainable latent row per sample."""
+
+    H: np.ndarray
+
+    def __post_init__(self):
+        self.H = np.asarray(self.H, dtype=np.float64)
+        if self.H.ndim != 2:
+            raise InputError(f"latent table must be 2-D, got shape {self.H.shape}")
+        if not np.isfinite(self.H).all():
+            raise InputError("latent table contains non-finite entries")
+
+    @property
+    def n_rows(self):
+        return self.H.shape[0]
+
+    @property
+    def dim(self):
+        return self.H.shape[1]
+
+
+class LatentConfig:
+    """Validation and dict round-trip shared by both trainers' config dataclasses."""
+
+    def _validate(self, positive, nonnegative=()):
+        for name in positive:
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive")
+        for name in nonnegative:
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0")
+        self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
+        if any(d <= 0 for d in self.hidden_dims):
+            raise ConfigurationError("hidden_dims must be positive")
+
+    def to_dict(self):
+        d = dict(self.__dict__)
+        d["hidden_dims"] = list(self.hidden_dims)
+        return d
+
+    @classmethod
+    def from_dict(cls, d):
+        d = dict(d)
+        d["hidden_dims"] = tuple(d.get("hidden_dims", ()))
+        return cls(**d)
+
+
+def init_latent_model(data, config, l2_coefficient=0.0):
+    """Latent table, then one decoder per view, drawn from one seeded stream.
+
+    Returns (latent, decoders, rng); further nets keep drawing from rng.
+    """
+    rng = np.random.default_rng(config.seed)
+    k = config.latent_dim
+    latent = LatentTable(rng.uniform(-0.01, 0.01, size=(data.n_samples, k)))
+    decoders = [init_net([k, *config.hidden_dims, d], SIGMOID_HIDDEN, l2_coefficient, rng)
+                for d in data.view_dims]
+    return latent, decoders, rng
+
+
+def residual(out, x, mask_col):
+    """Masked residual (f_v(h) - x_v) * s_v, given a decoder output f_v(h)."""
+    return (out - x) * mask_col
+
+
+def residuals(nets, h, views, mask):
+    return [residual(forward(net, h), views[v], mask[:, v:v + 1]) for v, net in enumerate(nets)]
+
+
+def squared_error(res):
+    total = 0.0
+    for r in res:
+        total += float((r ** 2).sum())
+    return total
+
+
+def reconstruction_loss(nets, latent, data):
+    """Masked squared reconstruction error averaged over samples."""
+    return squared_error(residuals(nets, latent.H, data.views, data.mask)) / data.n_samples
+
+
+def latent_pullback(nets, h, upstreams):
+    """Sum over views of dL/dh, given each view's dL/d(f_v(h))."""
+    g = np.zeros_like(h)
+    for net, u in zip(nets, upstreams):
+        g += backward(net, h, u).d_input
+    return g
+
+
+def check_finite(value, what, epoch):
+    if not np.isfinite(value):
+        raise TrainingError(f"{what} diverged at epoch {epoch}")
+
+
+def save_checkpoint(out_dir, name, nets, latent, config, arrays=None, **fields):
+    """Write `{name}.json`, `{role}_v{i}.json` nets and `{key}.bin` arrays, latent included.
+
+    `nets` maps each role to its per-view nets; the first role is the decoders.
+    """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for role, group in nets.items():
+        for i, net in enumerate(group):
+            save_net(net, out_dir / f"{role}_v{i}.json")
+    for key, array in {"latent": latent.H, **(arrays or {})}.items():
+        array.astype("<f8").tofile(out_dir / f"{key}.bin")
+    decoders = next(iter(nets.values()))
+    manifest = {
+        "config": config.to_dict(),
+        "n_views": len(decoders),
+        "view_dims": [net.output_dim for net in decoders],
+        "n_samples": latent.n_rows,
+        "latent_dim": latent.dim,
+        "dtype": "<f8",
+        **fields,
+    }
+    path = out_dir / f"{name}.json"
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=1))
+    return path
+
+
+class Checkpoint:
+    """Reads what save_checkpoint wrote; an inconsistent file raises a PmvlError.
+
+    `fields` gives the JSON type of each manifest key needed beyond the
+    common ones; counts must be nonnegative.
+    """
+
+    def __init__(self, path, name, config_cls, fields=None):
+        path = Path(path)
+        self.path = path / f"{name}.json" if path.is_dir() else path
+        self.manifest = m = read_json_object(self.path, InputError)
+        common = {"config": dict, "n_views": int, "n_samples": int, "latent_dim": int}
+        for key, kind in {**common, **(fields or {})}.items():
+            if not isinstance(m.get(key), kind) or (kind is int and m[key] < 0):
+                raise InputError(f"{self.path}: manifest needs a valid '{key}' ({kind.__name__})")
+        try:
+            self.config = config_cls.from_dict(m["config"])
+        except (PmvlError, TypeError, ValueError) as exc:
+            raise InputError(f"{self.path}: bad config: {exc}") from None
+
+    def nets(self, role):
+        n = self.manifest["n_views"]
+        return [load_net(self.path.parent / f"{role}_v{i}.json") for i in range(n)]
+
+    def array(self, key, rows):
+        """`{key}.bin` as a (manifest[rows], latent_dim) float64 array."""
+        shape = (self.manifest[rows], self.manifest["latent_dim"])
+        path = self.path.parent / f"{key}.bin"
+        raw = path.read_bytes()
+        if len(raw) != 8 * shape[0] * shape[1]:
+            raise InputError(f"{path}: holds {len(raw)} bytes, expected {shape} float64s")
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+    def latent(self):
+        return LatentTable(self.array("latent", "n_samples"))

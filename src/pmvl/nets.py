@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, InputError, read_json_object
 
 SIGMOID_HIDDEN = "sigmoid_hidden"  # sigmoid on hidden layers, linear output
 SIGMOID_ALL = "sigmoid_all"        # sigmoid on every layer, output included
@@ -111,12 +111,14 @@ class GradientBundle:
     d_input: np.ndarray
 
     def accumulate(self, other):
-        """In-place sum with another bundle of identical shapes."""
+        """In-place sum of another bundle's parameter gradients for the same net.
+
+        d_input is left alone: the two batches may have different row counts.
+        """
         for dw, ow in zip(self.d_weights, other.d_weights):
             dw += ow
         for db, ob in zip(self.d_biases, other.d_biases):
             db += ob
-        self.d_input += other.d_input
         return self
 
     def scale(self, factor):
@@ -200,14 +202,6 @@ def backward(net, input_batch, upstream_grad):
     return GradientBundle(d_weights, d_biases, g)
 
 
-def zero_bundle(net, batch_rows):
-    return GradientBundle(
-        [np.zeros_like(w) for w in net.weights],
-        [np.zeros_like(b) for b in net.biases],
-        np.zeros((batch_rows, net.input_dim)),
-    )
-
-
 def sgd_step(net, bundle, lr):
     """Plain gradient-descent update, in place: param -= lr * grad."""
     if lr <= 0:
@@ -255,10 +249,19 @@ def save_net(net, path):
 
 
 def load_net(path):
+    """Read a save_net checkpoint; a malformed header or a wrong-sized binary raises."""
     path = Path(path)
-    header = json.loads(path.read_text())
-    dims = header["layer_dims"]
-    raw = (path.parent / header["data_file"]).read_bytes()
+    header = read_json_object(path, InputError)
+    try:
+        dims = [int(d) for d in header["layer_dims"]]
+        bin_path = path.parent / header["data_file"]
+        activation, l2 = header["activation"], float(header["l2_coefficient"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: malformed net header ({exc!r})") from None
+    expected = sum(d_out * (d_in + 1) for d_in, d_out in zip(dims[:-1], dims[1:]))
+    raw = bin_path.read_bytes()
+    if len(raw) != 8 * expected:
+        raise DimensionError(f"{bin_path}: holds {len(raw)} bytes, expected {8 * expected}")
     flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
     weights, biases = [], []
     ofs = 0
@@ -267,6 +270,4 @@ def load_net(path):
         ofs += d_out * d_in
         biases.append(flat[ofs:ofs + d_out].copy())
         ofs += d_out
-    if ofs != flat.size:
-        raise DimensionError(f"{path}: checkpoint holds {flat.size} floats, expected {ofs}")
-    return DenseNet(dims, weights, biases, header["activation"], header["l2_coefficient"])
+    return DenseNet(dims, weights, biases, activation, l2)

@@ -12,35 +12,41 @@ Classification is nearest-centroid by dot product in latent space. At test
 time a sample's latent is recovered by gradient descent on its own masked
 reconstruction error through frozen (optionally re-tuned) nets, so any
 subset of views yields a usable representation.
+
+The latent table, decoder set-up, masked residual and checkpoint layout
+live in `latent.py`, shared with the adversarial path; this module adds
+the margin term, centroids, re-tuning and test-time inference.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, InputError, TrainingError
-from .metrics import classification_report
-from .nets import (
-    SIGMOID_HIDDEN,
-    backward,
-    forward,
-    init_net,
-    l2_penalty,
-    load_net,
-    save_net,
-    sgd_step,
+from .latent import (
+    Checkpoint,
+    LatentConfig,
+    LatentTable,
+    check_finite,
+    init_latent_model,
+    latent_pullback,
+    reconstruction_loss,
+    residual,
+    residuals,
+    save_checkpoint,
+    squared_error,
 )
+from .metrics import classification_report
+from .nets import backward, forward, l2_penalty, sgd_step
 
 EARLY_STOP_WINDOW = 10
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(LatentConfig):
     """Knobs for the alternating training loop.
 
     lr_nets drives the decoder updates (full-batch averaged gradients);
@@ -67,54 +73,13 @@ class TrainConfig:
     centroid_excludes_self: bool = False
 
     def __post_init__(self):
-        for name in ("latent_dim", "epochs", "net_iters", "latent_iters", "infer_iters"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
-        for name in ("lam", "lr_nets", "lr_latent", "tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
         if self.infer_lr is not None and self.infer_lr <= 0:
             raise ConfigurationError("infer_lr must be positive")
-        if self.retune_epochs < 0:
-            raise ConfigurationError("retune_epochs must be >= 0")
-        if self.l2_coefficient < 0:
-            raise ConfigurationError("l2_coefficient must be >= 0")
-        self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
-        if any(d <= 0 for d in self.hidden_dims):
-            raise ConfigurationError("hidden_dims must be positive")
-
-    def to_dict(self):
-        d = dict(self.__dict__)
-        d["hidden_dims"] = list(self.hidden_dims)
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["hidden_dims"] = tuple(d.get("hidden_dims", ()))
-        return cls(**d)
-
-
-@dataclass
-class LatentTable:
-    """One trainable latent row per sample."""
-
-    H: np.ndarray
-
-    def __post_init__(self):
-        self.H = np.asarray(self.H, dtype=np.float64)
-        if self.H.ndim != 2:
-            raise InputError(f"latent table must be 2-D, got shape {self.H.shape}")
-        if not np.isfinite(self.H).all():
-            raise InputError("latent table contains non-finite entries")
-
-    @property
-    def n_rows(self):
-        return self.H.shape[0]
-
-    @property
-    def dim(self):
-        return self.H.shape[1]
+        self._validate(
+            ("latent_dim", "epochs", "net_iters", "latent_iters", "infer_iters",
+             "lam", "lr_nets", "lr_latent", "tol"),
+            ("retune_epochs", "l2_coefficient"),
+        )
 
 
 @dataclass
@@ -129,19 +94,6 @@ class SupervisedModel:
     @property
     def n_classes(self):
         return self.centroids.shape[0]
-
-    def active_nets(self):
-        """Nets used at inference: re-tuned when available."""
-        return self.retuned_nets if self.retuned_nets is not None else self.recon_nets
-
-
-def reconstruction_loss(nets, latent, data):
-    """Masked squared reconstruction error averaged over samples."""
-    total = 0.0
-    for v, net in enumerate(nets):
-        diff = (forward(net, latent.H) - data.views[v]) * data.mask[:, v:v + 1]
-        total += float((diff ** 2).sum())
-    return total / data.n_samples
 
 
 def class_centroids(h, labels, n_classes):
@@ -189,10 +141,8 @@ def latent_gradients(nets, latent, data, labels, centroids, lam, own_centroids=N
     independent of dataset size.
     """
     h = latent.H
-    g = np.zeros_like(h)
-    for v, net in enumerate(nets):
-        diff = (forward(net, h) - data.views[v]) * data.mask[:, v:v + 1]
-        g += backward(net, h, 2.0 * diff).d_input
+    res = residuals(nets, h, data.views, data.mask)
+    g = latent_pullback(nets, h, [2.0 * r for r in res])
     scores = _margin_scores(h, labels, centroids, own_centroids)
     predicted = scores.argmax(axis=1)
     mis = predicted != labels
@@ -222,18 +172,8 @@ def train(data, config=None):
     config = config or TrainConfig()
     if data.labels is None:
         raise InputError("supervised training needs labels")
-    n, k = data.n_samples, config.latent_dim
-    rng = np.random.default_rng(config.seed)
-    latent = LatentTable(rng.uniform(-0.01, 0.01, size=(n, k)))
-    nets = [
-        init_net(
-            [k, *config.hidden_dims, d],
-            activation=SIGMOID_HIDDEN,
-            l2_coefficient=config.l2_coefficient,
-            rng=rng,
-        )
-        for d in data.view_dims
-    ]
+    n = data.n_samples
+    latent, nets, _ = init_latent_model(data, config, config.l2_coefficient)
     trace = []
     centroids = None
     for epoch in range(config.epochs):
@@ -242,18 +182,15 @@ def train(data, config=None):
         if config.centroid_excludes_self:
             own = _leave_one_out_centroids(latent.H, data.labels, data.n_classes)
         for _ in range(config.net_iters):
-            for v, net in enumerate(nets):
-                diff = (forward(net, latent.H) - data.views[v]) * data.mask[:, v:v + 1]
-                bundle = backward(net, latent.H, (2.0 / n) * diff)
-                sgd_step(net, bundle, config.lr_nets)
+            for net, r in zip(nets, residuals(nets, latent.H, data.views, data.mask)):
+                sgd_step(net, backward(net, latent.H, (2.0 / n) * r), config.lr_nets)
         for _ in range(config.latent_iters):
             g = latent_gradients(
                 nets, latent, data, data.labels, centroids, config.lam, own_centroids=own
             )
             latent.H -= config.lr_latent * g
         obj = _objective(nets, latent, data, centroids, config, own_centroids=own)
-        if not np.isfinite(obj):
-            raise TrainingError(f"objective diverged at epoch {epoch}")
+        check_finite(obj, "objective", epoch)
         trace.append(obj)
         if len(trace) > EARLY_STOP_WINDOW:
             prev = trace[-1 - EARLY_STOP_WINDOW]
@@ -269,11 +206,6 @@ def train(data, config=None):
     )
 
 
-def _view_objective(net, h, x, mask_col, n):
-    diff = (forward(net, h) - x) * mask_col
-    return float((diff ** 2).sum()) / n + l2_penalty(net)
-
-
 def retune(model, data):
     """Refit decoder nets on the frozen latent table, reconstruction only.
 
@@ -286,18 +218,21 @@ def retune(model, data):
     n = data.n_samples
     nets = [net.copy() for net in model.recon_nets]
     rates = [model.config.lr_nets] * len(nets)
+
+    def view_residual(net, v):
+        return residual(forward(net, h), data.views[v], data.mask[:, v:v + 1])
+
     for _ in range(model.config.retune_epochs):
         for v, net in enumerate(nets):
             if rates[v] < 1e-15:
                 continue
-            x, mask_col = data.views[v], data.mask[:, v:v + 1]
-            before = _view_objective(net, h, x, mask_col, n)
+            r = view_residual(net, v)
+            before = squared_error([r]) / n + l2_penalty(net)
             while rates[v] >= 1e-15:
+                # every attempt starts from a copy of net, whose residual is r
                 candidate = net.copy()
-                diff = (forward(candidate, h) - x) * mask_col
-                bundle = backward(candidate, h, (2.0 / n) * diff)
-                sgd_step(candidate, bundle, rates[v])
-                after = _view_objective(candidate, h, x, mask_col, n)
+                sgd_step(candidate, backward(candidate, h, (2.0 / n) * r), rates[v])
+                after = squared_error([view_residual(candidate, v)]) / n + l2_penalty(candidate)
                 if after <= before + 1e-9:
                     nets[v] = candidate
                     break
@@ -305,47 +240,34 @@ def retune(model, data):
     return replace(model, retuned_nets=nets)
 
 
-def _infer_batch(nets, views, mask, iters, lr):
+def _infer_batch(model, views, mask, iters=None, lr=None):
     """Shared gradient-descent recovery of latents for a batch of samples.
 
-    Rows are independent (per-row loss, per-row gradient), so batching is
-    exactly the per-sample loop, just vectorized. Returns the best iterate
-    per row by masked reconstruction loss, starting from zeros.
+    Runs through the re-tuned nets when the model has them. Rows are
+    independent (per-row loss, per-row gradient), so batching is exactly
+    the per-sample loop, just vectorized. Returns the best iterate per row
+    by masked reconstruction loss, starting from zeros. Each iterate's
+    residuals score it and then drive the step away from it.
     """
-    m = views[0].shape[0]
-    h = np.zeros((m, nets[0].input_dim))
-
-    def row_loss(cur):
-        loss = np.zeros(m)
-        for v, net in enumerate(nets):
-            diff = (forward(net, cur) - views[v]) * mask[:, v:v + 1]
-            loss += (diff ** 2).sum(axis=1)
-        return loss
-
+    nets = model.retuned_nets
+    if nets is None:
+        warnings.warn("model has no re-tuned nets; inferring through training nets", stacklevel=3)
+        nets = model.recon_nets
+    cfg = model.config
+    iters = iters if iters is not None else cfg.infer_iters
+    lr = lr if lr is not None else cfg.infer_lr if cfg.infer_lr is not None else cfg.lr_latent
+    h = np.zeros((views[0].shape[0], nets[0].input_dim))
+    res = residuals(nets, h, views, mask)
     best_h = h.copy()
-    best_loss = row_loss(h)
+    best_loss = sum((r ** 2).sum(axis=1) for r in res)
     for _ in range(iters):
-        g = np.zeros_like(h)
-        for v, net in enumerate(nets):
-            diff = (forward(net, h) - views[v]) * mask[:, v:v + 1]
-            g += backward(net, h, 2.0 * diff).d_input
-        h = h - lr * g
-        loss = row_loss(h)
+        h = h - lr * latent_pullback(nets, h, [2.0 * r for r in res])
+        res = residuals(nets, h, views, mask)
+        loss = sum((r ** 2).sum(axis=1) for r in res)
         better = loss < best_loss
         best_h[better] = h[better]
         best_loss[better] = loss[better]
-    return best_h, best_loss
-
-
-def _infer_lr(config):
-    return config.infer_lr if config.infer_lr is not None else config.lr_latent
-
-
-def _inference_nets(model):
-    if model.retuned_nets is None:
-        warnings.warn("model has no re-tuned nets; inferring through training nets", stacklevel=3)
-        return model.recon_nets
-    return model.retuned_nets
+    return best_h
 
 
 def infer_latent(model, sample_views, sample_mask, iters=None, lr=None):
@@ -353,31 +275,15 @@ def infer_latent(model, sample_views, sample_mask, iters=None, lr=None):
     sample_mask = np.asarray(sample_mask).reshape(-1)
     if sample_mask.sum() == 0:
         raise InputError("sample has no observed view")
-    nets = _inference_nets(model)
     views = [np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in sample_views]
-    h, _ = _infer_batch(
-        nets,
-        views,
-        sample_mask[None, :],
-        iters if iters is not None else model.config.infer_iters,
-        lr if lr is not None else _infer_lr(model.config),
-    )
-    return h[0]
+    return _infer_batch(model, views, sample_mask[None, :], iters, lr)[0]
 
 
 def infer_latents(model, data, iters=None, lr=None):
     """Latent rows for a whole dataset; same result as per-sample calls."""
     if (data.mask.sum(axis=1) == 0).any():
         raise InputError("a sample has no observed view")
-    nets = _inference_nets(model)
-    h, _ = _infer_batch(
-        nets,
-        data.views,
-        data.mask,
-        iters if iters is not None else model.config.infer_iters,
-        lr if lr is not None else _infer_lr(model.config),
-    )
-    return h
+    return _infer_batch(model, data.views, data.mask, iters, lr)
 
 
 def classify(model, latent_vector):
@@ -397,54 +303,22 @@ def evaluate(model, test_data):
 
 def save_model(model, out_dir):
     """Checkpoint: manifest JSON, per-view net files, latents and centroids."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for i, net in enumerate(model.recon_nets):
-        save_net(net, out_dir / f"recon_v{i}.json")
-    if model.retuned_nets is not None:
-        for i, net in enumerate(model.retuned_nets):
-            save_net(net, out_dir / f"retuned_v{i}.json")
-    model.latent.H.astype("<f8").tofile(out_dir / "latent.bin")
-    model.centroids.astype("<f8").tofile(out_dir / "centroids.bin")
-    manifest = {
-        "config": model.config.to_dict(),
-        "n_classes": model.n_classes,
-        "n_views": len(model.recon_nets),
-        "view_dims": [net.output_dim for net in model.recon_nets],
-        "n_samples": model.latent.n_rows,
-        "latent_dim": model.latent.dim,
-        "has_retuned": model.retuned_nets is not None,
-        "objective_trace": model.objective_trace,
-        "dtype": "<f8",
-    }
-    path = out_dir / "model.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=1))
-    return path
+    nets = {"recon": model.recon_nets, "retuned": model.retuned_nets or []}
+    return save_checkpoint(
+        out_dir, "model", nets, model.latent, model.config, {"centroids": model.centroids},
+        n_classes=model.n_classes,
+        has_retuned=model.retuned_nets is not None,
+        objective_trace=model.objective_trace,
+    )
 
 
 def load_model(manifest_path):
-    manifest_path = Path(manifest_path)
-    if manifest_path.is_dir():
-        manifest_path = manifest_path / "model.json"
-    m = json.loads(manifest_path.read_text())
-    base = manifest_path.parent
-    config = TrainConfig.from_dict(m["config"])
-    recon = [load_net(base / f"recon_v{i}.json") for i in range(m["n_views"])]
-    retuned = None
-    if m["has_retuned"]:
-        retuned = [load_net(base / f"retuned_v{i}.json") for i in range(m["n_views"])]
-    latent = np.fromfile(base / "latent.bin", dtype="<f8")
-    expected = m["n_samples"] * m["latent_dim"]
-    if latent.size != expected:
-        raise InputError(f"latent.bin holds {latent.size} floats, expected {expected}")
-    centroids = np.fromfile(base / "centroids.bin", dtype="<f8")
-    if centroids.size != m["n_classes"] * m["latent_dim"]:
-        raise InputError("centroids.bin size disagrees with the manifest")
+    ckpt = Checkpoint(manifest_path, "model", TrainConfig, {"n_classes": int, "has_retuned": bool})
     return SupervisedModel(
-        latent=LatentTable(latent.reshape(m["n_samples"], m["latent_dim"])),
-        recon_nets=recon,
-        centroids=centroids.reshape(m["n_classes"], m["latent_dim"]),
-        config=config,
-        retuned_nets=retuned,
-        objective_trace=list(m.get("objective_trace", [])),
+        latent=ckpt.latent(),
+        recon_nets=ckpt.nets("recon"),
+        centroids=ckpt.array("centroids", "n_classes"),
+        config=ckpt.config,
+        retuned_nets=ckpt.nets("retuned") if ckpt.manifest["has_retuned"] else None,
+        objective_trace=list(ckpt.manifest.get("objective_trace", [])),
     )

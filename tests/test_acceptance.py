@@ -24,7 +24,6 @@ from pmvl.adversarial import (
     impute,
     latent_gradient,
     train_unsupervised,
-    unsup_reconstruction_loss,
 )
 from pmvl.baselines import (
     CLASS_MEAN,
@@ -43,17 +42,16 @@ from pmvl.data import (
     split,
     synth_dataset,
 )
+from pmvl.latent import LatentTable, reconstruction_loss
 from pmvl.metrics import clustering_acc, nmi, nrmse
 from pmvl.nets import SIGMOID_ALL, SIGMOID_HIDDEN, backward, forward, init_net
 from pmvl.supervised import (
-    LatentTable,
     TrainConfig,
     class_centroids,
     classification_loss,
     evaluate,
     infer_latents,
     latent_gradients,
-    reconstruction_loss,
     retune,
     train,
 )
@@ -238,7 +236,7 @@ def check_adversarial_instance(rng):
     n = data.n_samples
     w = model.config.adv_weight
     combined = lambda: (w * adversarial_loss(model, data)
-                        + unsup_reconstruction_loss(model, data))
+                        + reconstruction_loss(model.generators, model.latent, data))
     adv_only = lambda: adversarial_loss(model, data)
 
     d_bundles = discriminator_gradients(model, data)
@@ -466,7 +464,7 @@ def test_criterion_08_versatility_bound(capsys, desk_runs):
     run = desk_runs[0.5][0]
     model, test_d = run["model"], run["test_d"]
     ht = infer_latents(model, test_d)
-    nets = model.active_nets()
+    nets = model.retuned_nets if model.retuned_nets is not None else model.recon_nets
     rng = np.random.default_rng(1000)
     held = 0
     trials = 100

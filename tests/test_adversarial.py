@@ -9,19 +9,17 @@ from pmvl.adversarial import (
     adversarial_loss,
     combined_upstreams,
     discriminator_gradients,
-    extract_latents,
     impute,
     latent_gradient,
     load_gan,
     save_gan,
     train_unsupervised,
-    unsup_reconstruction_loss,
 )
 from pmvl.data import MissingSpec, MultiViewDataset, apply_missing_pattern, synth_dataset
 from pmvl.errors import ConfigurationError, InputError, TrainingError
+from pmvl.latent import LatentTable, reconstruction_loss
 from pmvl.metrics import evaluate_clustering, nrmse
 from pmvl.nets import SIGMOID_ALL, SIGMOID_HIDDEN, DenseNet, backward, init_net, sgd_step
-from pmvl.supervised import LatentTable
 
 
 def linear_net(w, b):
@@ -151,7 +149,7 @@ def test_unsup_reconstruction_loss_zero_for_perfect_generators():
     data = MultiViewDataset([h.copy()], np.ones((2, 1)))
     model = tiny_model(h, [linear_net(np.eye(2), np.zeros(2))],
                        [sigmoid_net(np.zeros((1, 2)), [0.0])])
-    assert unsup_reconstruction_loss(model, data) == 0.0
+    assert reconstruction_loss(model.generators, model.latent, data) == 0.0
 
 
 def test_unsup_reconstruction_loss_matches_oracle():
@@ -167,14 +165,15 @@ def test_unsup_reconstruction_loss_matches_oracle():
             if data.mask[n, v]:
                 pred = gens[v].weights[0] @ h[n] + gens[v].biases[0]
                 total += ((pred - data.views[v][n]) ** 2).sum()
-    assert np.isclose(unsup_reconstruction_loss(model, data), total / data.n_samples)
+    loss = reconstruction_loss(model.generators, model.latent, data)
+    assert np.isclose(loss, total / data.n_samples)
 
 
 # ------------------------------------------------- gradient oracles
 
 def combined_value(model, data):
     return (model.config.adv_weight * adversarial_loss(model, data)
-            + unsup_reconstruction_loss(model, data))
+            + reconstruction_loss(model.generators, model.latent, data))
 
 
 def random_model_and_data(seed, adv_weight=0.8):
@@ -371,11 +370,11 @@ def test_impute_row_count_mismatch_rejected():
         impute(model, masked.take(np.arange(10)))
 
 
-def test_extract_latents_shape_and_clustering_signal():
+def test_trained_latents_shape_and_clustering_signal():
     truth = synth_dataset(120, 3, 6, [10, 8], seed=7, noise_scale=0.05)
     masked = apply_missing_pattern(truth, MissingSpec(0.3, seed=7))
     model = train_unsupervised(masked, small_gan(latent_dim=8, epochs=150, seed=7))
-    table = extract_latents(model)
+    table = model.latent
     assert table.n_rows == truth.n_samples
     assert np.isfinite(table.H).all()
     report = evaluate_clustering(table.H, truth.labels, seed=0)
@@ -398,12 +397,3 @@ def test_gan_checkpoint_roundtrip(tmp_path):
     ra = impute(model, masked, truth=truth)
     rb = impute(back, masked, truth=truth)
     assert ra.overall_nrmse == rb.overall_nrmse
-
-
-def test_gan_checkpoint_detects_truncated_latents(tmp_path):
-    _, _, model = trained_pair(seed=9, n=20)
-    save_gan(model, tmp_path / "gan")
-    blob = (tmp_path / "gan" / "latent.bin").read_bytes()
-    (tmp_path / "gan" / "latent.bin").write_bytes(blob[:-8])
-    with pytest.raises(InputError):
-        load_gan(tmp_path / "gan")

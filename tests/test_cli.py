@@ -251,6 +251,41 @@ def test_config_file_overridden_by_flags(complete_dir, tmp_path):
     assert rep["config"]["lam"] == 2.0
 
 
+@pytest.mark.parametrize("text", ["{\"epochs\": 5,", "[1, 2]"])
+def test_bad_config_file_exits_2_naming_it(complete_dir, tmp_path, capsys, text):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    rc = run_cli("train-sup", "--data", complete_dir / "dataset.json",
+                 "--config", cfg, "--repeats", 1, "--out", tmp_path / "sup")
+    assert rc == 2
+    assert "bad.json" in capsys.readouterr().err
+
+
+def test_nan_under_hidden_slot_changes_nothing(masked_dir, tmp_path):
+    # the same dataset with NaN written under one hidden slot trains identically
+    data = load_dataset(masked_dir / "dataset.json")
+    row, view = map(int, np.argwhere(data.mask == 0)[0])
+    src = tmp_path / "data"
+    src.mkdir()
+    for f in masked_dir.glob("dataset*"):
+        (src / f.name).write_bytes(f.read_bytes())
+    view_csv = src / f"dataset_view{view}.csv"
+    lines = view_csv.read_text().splitlines()
+    lines[row] = ",".join(["nan"] * len(lines[row].split(",")))
+    view_csv.write_text("\n".join(lines) + "\n")
+    reports = []
+    for d in (masked_dir, src):
+        out = tmp_path / f"run_{d.name}"
+        assert run_cli("train-unsup", "--data", d / "dataset.json", "--epochs", 5,
+                       "--latent-dim", 3, "--hidden-dims", "6", "--out", out / "u") == 0
+        assert run_cli("train-sup", "--data", d / "dataset.json", "--epochs", 5,
+                       "--repeats", 1, "--latent-dim", 3, "--hidden-dims", "6",
+                       "--infer-iters", 5, "--out", out / "s") == 0
+        reports.append((report_of(out / "u")["final_reconstruction_loss"],
+                        report_of(out / "s")["accuracy"]))
+    assert reports[0] == reports[1]
+
+
 def test_preset_supplies_defaults(complete_dir, tmp_path):
     out = tmp_path / "sup"
     rc = run_cli("train-sup", "--data", complete_dir / "dataset.json",

@@ -131,6 +131,26 @@ def test_load_csv_views_bad_mask(tmp_path):
         load_csv_views([tmp_path / "v0.csv"], mask_path=tmp_path / "m.csv")
 
 
+def test_load_csv_views_zeroes_cells_under_hidden_slots(tmp_path):
+    (tmp_path / "v0.csv").write_text("1.0,2.0\nnan,7.5\n3.0,4.0\n")
+    (tmp_path / "v1.csv").write_text("5.0\n6.0\ninf\n")
+    (tmp_path / "m.csv").write_text("1,1\n0,1\n1,0\n")
+    data = load_csv_views([tmp_path / "v0.csv", tmp_path / "v1.csv"],
+                          mask_path=tmp_path / "m.csv")
+    assert np.array_equal(data.views[0], [[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]])
+    assert np.array_equal(data.views[1], [[5.0], [6.0], [0.0]])
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_csv_views_rejects_non_finite_observed_cell(tmp_path, cell):
+    (tmp_path / "v0.csv").write_text("1.0,2.0\n3.0,4.0\n")
+    (tmp_path / "v1.csv").write_text(f"5.0\n{cell}\n")
+    (tmp_path / "m.csv").write_text("1,1\n1,1\n")
+    with pytest.raises(IngestionError, match=r"v1\.csv: row 2 .*non-finite"):
+        load_csv_views([tmp_path / "v0.csv", tmp_path / "v1.csv"],
+                       mask_path=tmp_path / "m.csv")
+
+
 def test_save_load_roundtrip_bit_exact(tmp_path):
     data = apply_missing_pattern(small_complete(n=17), MissingSpec(0.25, seed=6))
     manifest = save_dataset(data, tmp_path, name="rt")

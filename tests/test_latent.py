@@ -1,0 +1,82 @@
+"""The shared latent-model core: checkpoint layout and corrupt-checkpoint errors."""
+
+import json
+import shutil
+
+import pytest
+
+from pmvl import cli
+from pmvl.adversarial import GanConfig, load_gan, save_gan, train_unsupervised
+from pmvl.data import MissingSpec, apply_missing_pattern, save_dataset, synth_dataset
+from pmvl.errors import PmvlError
+from pmvl.supervised import TrainConfig, load_model, retune, save_model, train
+
+KINDS = {
+    # kind: (manifest, decoder role, loader)
+    "model": ("model.json", "recon", load_model),
+    "gan": ("gan.json", "gen", load_gan),
+}
+
+
+def drop_n_views(raw):
+    m = json.loads(raw)
+    del m["n_views"]
+    return json.dumps(m).encode()
+
+
+# corruption: (file it hits, bytes -> corrupted bytes)
+CORRUPTIONS = {
+    "truncated_latents": ("latent.bin", lambda raw: raw[:-8]),
+    "half_net_file": ("{role}_v0.bin", lambda raw: raw[:len(raw) // 2]),
+    "odd_length_net_file": ("{role}_v0.bin", lambda raw: raw[:-1]),
+    "dropped_key": ("{manifest}", drop_n_views),
+    "non_json_manifest": ("{manifest}", lambda raw: b"{not json"),
+}
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    root = tmp_path_factory.mktemp("ckpt")
+    data = apply_missing_pattern(synth_dataset(24, 2, 3, [5, 4], seed=3, noise_scale=0.05),
+                                 MissingSpec(0.3, seed=3))
+    sup = retune(train(data, TrainConfig(latent_dim=3, epochs=5, retune_epochs=3,
+                                         infer_iters=5, hidden_dims=(6,))), data)
+    save_model(sup, root / "model")
+    save_gan(train_unsupervised(data, GanConfig(latent_dim=3, epochs=3, hidden_dims=(6,))),
+             root / "gan")
+    return root, save_dataset(data, root / "data")
+
+
+def test_checkpoint_layout(checkpoints):
+    root, _ = checkpoints
+    names = {p.name for p in (root / "model").iterdir()}
+    nets = {f"{role}_v{i}.{ext}" for role in ("recon", "retuned") for i in (0, 1)
+            for ext in ("json", "bin")}
+    assert names == nets | {"model.json", "latent.bin", "centroids.bin"}
+    manifest = json.loads((root / "model" / "model.json").read_text())
+    assert set(manifest) == {"config", "n_classes", "n_views", "view_dims", "n_samples",
+                             "latent_dim", "has_retuned", "objective_trace", "dtype"}
+    assert (manifest["n_views"], manifest["view_dims"], manifest["n_samples"]) == (2, [5, 4], 24)
+    manifest = json.loads((root / "gan" / "gan.json").read_text())
+    assert set(manifest) == {"config", "n_views", "view_dims", "n_samples", "latent_dim",
+                             "d_trace", "g_trace", "rec_trace", "dtype"}
+    assert (root / "gan" / "latent.bin").stat().st_size == 8 * 24 * 3
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_corrupt_checkpoint_is_pmvl_error(checkpoints, tmp_path, kind, corruption, capsys):
+    root, data_manifest = checkpoints
+    manifest, role, load = KINDS[kind]
+    pattern, corrupt = CORRUPTIONS[corruption]
+    target = pattern.format(manifest=manifest, role=role)
+    ckpt = tmp_path / kind
+    shutil.copytree(root / kind, ckpt)
+    (ckpt / target).write_bytes(corrupt((ckpt / target).read_bytes()))
+    with pytest.raises(PmvlError, match=target.replace(".", r"\.")):
+        load(ckpt)
+    if kind == "model":
+        rc = cli.main(["eval", "--model", str(ckpt), "--data", str(data_manifest),
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        assert target in capsys.readouterr().err

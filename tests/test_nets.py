@@ -8,6 +8,7 @@ from pmvl.nets import (
     SIGMOID_ALL,
     SIGMOID_HIDDEN,
     DenseNet,
+    GradientBundle,
     backward,
     forward,
     init_net,
@@ -16,8 +17,15 @@ from pmvl.nets import (
     save_net,
     sgd_step,
     sigmoid,
-    zero_bundle,
 )
+
+
+def zero_bundle(net, batch_rows):
+    return GradientBundle(
+        [np.zeros_like(w) for w in net.weights],
+        [np.zeros_like(b) for b in net.biases],
+        np.zeros((batch_rows, net.input_dim)),
+    )
 
 
 def naive_forward(net, x):
@@ -209,10 +217,14 @@ def test_bundle_accumulate_and_scale():
     b1 = backward(net, x, up)
     b2 = backward(net, x, up)
     b1.accumulate(b2)
+    # parameter gradients only: d_input belongs to b1's own batch
+    assert np.array_equal(b1.d_input, b2.d_input)
     b1.scale(0.5)
     b3 = backward(net, x, up)
     for li in range(net.n_layers):
         assert np.allclose(b1.d_weights[li], b3.d_weights[li], atol=1e-12)
+        assert np.allclose(b1.d_biases[li], b3.d_biases[li], atol=1e-12)
+    assert np.allclose(b1.d_input, 0.5 * b3.d_input, atol=1e-12)
 
 
 def test_l2_penalty_value():
