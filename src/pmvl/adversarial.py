@@ -60,15 +60,12 @@ class GanConfig(LatentConfig):
     lr: float = 0.05
     epochs: int = 200
     d_steps: int = 1
-    g_steps: int = 1
-    h_steps: int = 1
     adv_weight: float = 1.0
     seed: int = 0
     hidden_dims: tuple = (64,)
 
     def __post_init__(self):
-        self._validate(("latent_dim", "epochs", "d_steps", "g_steps", "h_steps", "lr"),
-                       ("adv_weight",))
+        self._validate(("latent_dim", "epochs", "d_steps", "lr"), ("adv_weight",))
 
 
 @dataclass
@@ -180,7 +177,7 @@ def latent_gradient(model, data):
 
 
 def train_unsupervised(data, config=None):
-    """Alternating discriminator-ascent, generator-descent, latent-descent."""
+    """Per epoch: d_steps discriminator ascents, one generator and one latent descent."""
     config = config or GanConfig()
     latent, gens, rng = init_latent_model(data, config)
     discs = [
@@ -198,16 +195,14 @@ def train_unsupervised(data, config=None):
         check_finite(adv, "discriminator phase", epoch)
         model.d_trace.append(adv)
 
-        for _ in range(config.g_steps):
-            for v, u in enumerate(combined_upstreams(model, data)):
-                sgd_step(gens[v], backward(gens[v], latent.H, u), config.lr)
+        for v, u in enumerate(combined_upstreams(model, data)):
+            sgd_step(gens[v], backward(gens[v], latent.H, u), config.lr)
         combined = config.adv_weight * adversarial_loss(model, data)
         combined += reconstruction_loss(gens, latent, data)
         check_finite(combined, "generator phase", epoch)
         model.g_trace.append(combined)
 
-        for _ in range(config.h_steps):
-            latent.H -= config.lr * latent_gradient(model, data)
+        latent.H -= config.lr * latent_gradient(model, data)
         rec = reconstruction_loss(gens, latent, data)
         check_finite(rec, "latent phase", epoch)
         model.rec_trace.append(rec)

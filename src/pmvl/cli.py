@@ -40,6 +40,7 @@ from .data import (
     synth_dataset,
 )
 from .errors import ConfigurationError, PmvlError, read_json_object
+from .latent import drop_retired
 from .metrics import evaluate_clustering, nrmse
 from .supervised import TrainConfig, evaluate, load_model, retune, save_model, train
 
@@ -55,10 +56,10 @@ SUP_PRESETS = {
                    epochs=200, infer_iters=300, infer_lr=0.001, hidden_dims=(512, 1024)),
 }
 GAN_PRESETS = {
-    "synthetic": dict(latent_dim=16, lr=0.05, epochs=200, hidden_dims=(64,), d_steps=1),
-    "handwritten": dict(latent_dim=64, lr=0.001, epochs=200, hidden_dims=(200,), d_steps=1),
-    "cub": dict(latent_dim=128, lr=0.01, epochs=200, hidden_dims=(), d_steps=1),
-    "animal": dict(latent_dim=256, lr=0.001, epochs=200, hidden_dims=(512, 1024), d_steps=1),
+    "synthetic": dict(latent_dim=16, lr=0.05, epochs=200, hidden_dims=(64,)),
+    "handwritten": dict(latent_dim=64, lr=0.001, epochs=200, hidden_dims=(200,)),
+    "cub": dict(latent_dim=128, lr=0.01, epochs=200, hidden_dims=()),
+    "animal": dict(latent_dim=256, lr=0.001, epochs=200, hidden_dims=(512, 1024)),
 }
 
 SWEEP_METHODS = (
@@ -85,25 +86,20 @@ def _write_report(out_dir, payload):
     return path
 
 
-def _settings(args, preset_table, keys, config_cls):
+def _settings(args, preset_table, config_cls):
     """Merge preset, config file, and explicit flags, in rising precedence.
 
-    The config file may hold settings for several commands at once, so keys
-    the target config class does not define are dropped rather than rejected.
+    Flags apply by dest name. The config file may hold settings for several
+    commands at once, so keys config_cls does not define (or seed) are dropped.
     """
+    known = {f.name for f in dataclasses.fields(config_cls)} - {"seed"}
     merged = dict(preset_table[args.preset])
     if args.config:
         merged.update(read_json_object(args.config, ConfigurationError))
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    known = {f.name for f in dataclasses.fields(config_cls)} - {"seed"}
-    merged = {k: v for k, v in merged.items() if k in known}
+    merged.update((k, v) for k, v in vars(args).items() if k in known and v is not None)
+    merged = {k: v for k, v in drop_retired(merged).items() if k in known}
     if isinstance(merged.get("hidden_dims"), str):
         merged["hidden_dims"] = _ints(merged["hidden_dims"])
-    if isinstance(merged.get("hidden_dims"), list):
-        merged["hidden_dims"] = tuple(merged["hidden_dims"])
     return merged
 
 
@@ -158,10 +154,7 @@ def _sup_pipeline(data, eta, train_frac, cfg, seed, with_retune):
 
 def cmd_train_sup(args):
     data = load_dataset(args.data)
-    merged = _settings(args, SUP_PRESETS, (
-        "latent_dim", "lam", "lr_nets", "lr_latent", "epochs",
-        "infer_iters", "infer_lr", "hidden_dims",
-    ), TrainConfig)
+    merged = _settings(args, SUP_PRESETS, TrainConfig)
     out = Path(args.out)
     accs = []
     seeds = [args.seed + r for r in range(args.repeats)]
@@ -194,9 +187,7 @@ def cmd_train_sup(args):
 
 def cmd_train_unsup(args):
     data = load_dataset(args.data)
-    merged = _settings(args, GAN_PRESETS, (
-        "latent_dim", "lr", "epochs", "d_steps", "adv_weight", "hidden_dims",
-    ), GanConfig)
+    merged = _settings(args, GAN_PRESETS, GanConfig)
     if args.no_gan:
         merged["adv_weight"] = 0.0
     truth = None
@@ -264,14 +255,7 @@ def cmd_eval(args):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = evaluate(model, data)
-    _write_report(args.out, {
-        "command": "eval",
-        "model": str(args.model),
-        "accuracy": report.accuracy,
-        "per_class": [float(a) for a in report.per_class],
-        "confusion": report.confusion.tolist(),
-        "n": report.n,
-    })
+    _write_report(args.out, {"command": "eval", "model": str(args.model), **report.to_dict()})
     print(f"accuracy {report.accuracy:.4f} on {report.n} samples")
     return 0
 
@@ -330,11 +314,8 @@ def cmd_sweep(args):
         if m not in SWEEP_METHODS:
             raise ConfigurationError(
                 f"unknown sweep method '{m}'; pick from {', '.join(SWEEP_METHODS)}")
-    sup_settings = _settings(args, SUP_PRESETS, (), TrainConfig)
-    gan_settings = _settings(args, GAN_PRESETS, (), GanConfig)
-    if args.epochs is not None:
-        sup_settings["epochs"] = args.epochs
-        gan_settings["epochs"] = args.epochs
+    sup_settings = _settings(args, SUP_PRESETS, TrainConfig)
+    gan_settings = _settings(args, GAN_PRESETS, GanConfig)
     cells = [
         (method, eta, args.seed + r)
         for method in methods for eta in rates for r in range(args.repeats)

@@ -238,9 +238,21 @@ def save_dataset(data, out_dir, name="dataset"):
     return manifest_path
 
 
+def _strings(value):
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
 def load_dataset(manifest_path):
     manifest_path = Path(manifest_path)
     m = read_json_object(manifest_path, IngestionError)
+    if not _strings(m.get("views")) or not m["views"]:
+        raise IngestionError(f"{manifest_path}: 'views' must be a non-empty list of file names")
+    for key in ("mask", "labels"):
+        if not isinstance(m.get(key), (str, type(None))):
+            raise IngestionError(f"{manifest_path}: '{key}' must be null or a file name")
+    names = m.get("view_names")
+    if names is not None and not (_strings(names) and len(names) == len(m["views"])):
+        raise IngestionError(f"{manifest_path}: 'view_names' must be null or one string per view")
     base = manifest_path.parent
     return load_csv_views(
         [base / f for f in m["views"]],

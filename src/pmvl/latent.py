@@ -10,8 +10,10 @@ little-endian float64 arrays.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -41,12 +43,37 @@ class LatentTable:
         return self.H.shape[1]
 
 
+# settings that were once config fields, each with the only value any run used
+RETIRED_SETTINGS = {"net_iters": 1, "latent_iters": 1, "centroid_excludes_self": False,
+                    "g_steps": 1, "h_steps": 1}
+NUMBER_FIELDS = {int: numbers.Integral, float: numbers.Real, float | None: numbers.Real}
+
+
+def drop_retired(settings):
+    """A copy of `settings` without retired keys; one set to another value is an error."""
+    settings = dict(settings)
+    for key, old in RETIRED_SETTINGS.items():
+        got = settings.pop(key, old)
+        if type(got) is not type(old) or got != old:
+            raise ConfigurationError(f"{key} is retired (fixed at {json.dumps(old)}), got {got!r}")
+    return settings
+
+
 class LatentConfig:
     """Validation and dict round-trip shared by both trainers' config dataclasses."""
 
     def _validate(self, positive, nonnegative=()):
+        for name, hint in get_type_hints(type(self)).items():
+            value = getattr(self, name)
+            kind = NUMBER_FIELDS.get(hint)
+            if kind is None or (value is None and hint == float | None):
+                continue
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is numbers.Integral else "a number"
+                raise ConfigurationError(f"{name} must be {what}, got {value!r}")
         for name in positive:
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if value is not None and value <= 0:
                 raise ConfigurationError(f"{name} must be positive")
         for name in nonnegative:
             if getattr(self, name) < 0:
@@ -62,7 +89,7 @@ class LatentConfig:
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
+        d = drop_retired(d)
         d["hidden_dims"] = tuple(d.get("hidden_dims", ()))
         return cls(**d)
 

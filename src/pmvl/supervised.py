@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, TrainingError
+from .errors import InputError, TrainingError
 from .latent import (
     Checkpoint,
     LatentConfig,
@@ -61,8 +61,6 @@ class TrainConfig(LatentConfig):
     lr_nets: float = 0.1
     lr_latent: float = 0.1
     epochs: int = 100
-    net_iters: int = 1
-    latent_iters: int = 1
     retune_epochs: int = 100
     infer_iters: int = 200
     infer_lr: float | None = None
@@ -70,16 +68,10 @@ class TrainConfig(LatentConfig):
     tol: float = 1e-5
     hidden_dims: tuple = (64,)
     l2_coefficient: float = 0.001
-    centroid_excludes_self: bool = False
 
     def __post_init__(self):
-        if self.infer_lr is not None and self.infer_lr <= 0:
-            raise ConfigurationError("infer_lr must be positive")
-        self._validate(
-            ("latent_dim", "epochs", "net_iters", "latent_iters", "infer_iters",
-             "lam", "lr_nets", "lr_latent", "tol"),
-            ("retune_epochs", "l2_coefficient"),
-        )
+        self._validate(("latent_dim", "epochs", "infer_iters", "infer_lr", "lam", "lr_nets",
+                        "lr_latent", "tol"), ("retune_epochs", "l2_coefficient"))
 
 
 @dataclass
@@ -106,24 +98,14 @@ def class_centroids(h, labels, n_classes):
     return centroids
 
 
-def _margin_scores(h, labels, centroids, own_centroids):
-    """Dot-product scores; optionally swap in per-row own-class centroids."""
-    scores = h @ centroids.T
-    if own_centroids is not None:
-        scores[np.arange(h.shape[0]), labels] = (own_centroids * h).sum(axis=1)
-    return scores
-
-
-def classification_loss(latent, labels, centroids, own_centroids=None):
+def classification_loss(latent, labels, centroids):
     """Mean margin penalty; exactly zero when every argmax centroid is correct.
 
     Per sample: max(0, [wrong argmax] + score(best rival or self) - score(own
     class)). A misclassified sample therefore contributes 1 plus its score
     gap; a correctly classified one contributes 0 with no approximation.
-    own_centroids (N x K) substitutes a per-row centroid for the sample's
-    own class, used by the leave-one-out training variant.
     """
-    scores = _margin_scores(latent.H, labels, centroids, own_centroids)
+    scores = latent.H @ centroids.T
     n = scores.shape[0]
     predicted = scores.argmax(axis=1)
     margin = (predicted != labels).astype(np.float64)
@@ -131,7 +113,7 @@ def classification_loss(latent, labels, centroids, own_centroids=None):
     return float(np.maximum(margin + gap, 0.0).mean())
 
 
-def latent_gradients(nets, latent, data, labels, centroids, lam, own_centroids=None):
+def latent_gradients(nets, latent, data, labels, centroids, lam):
     """Per-row gradient of the per-sample objective.
 
     Row n of the result differentiates sum_v s_nv ||f_v(h_n) - x_n||^2
@@ -143,53 +125,30 @@ def latent_gradients(nets, latent, data, labels, centroids, lam, own_centroids=N
     h = latent.H
     res = residuals(nets, h, data.views, data.mask)
     g = latent_pullback(nets, h, [2.0 * r for r in res])
-    scores = _margin_scores(h, labels, centroids, own_centroids)
-    predicted = scores.argmax(axis=1)
+    predicted = (h @ centroids.T).argmax(axis=1)
     mis = predicted != labels
     if mis.any():
-        own = centroids[labels[mis]] if own_centroids is None else own_centroids[mis]
-        g[mis] += lam * (centroids[predicted[mis]] - own)
+        g[mis] += lam * (centroids[predicted[mis]] - centroids[labels[mis]])
     return g
 
 
-def _objective(nets, latent, data, centroids, config, own_centroids=None):
-    obj = reconstruction_loss(nets, latent, data)
-    obj += config.lam * classification_loss(latent, data.labels, centroids, own_centroids)
-    return obj + sum(l2_penalty(net) for net in nets)
-
-
-def _leave_one_out_centroids(h, labels, n_classes):
-    counts = np.bincount(labels, minlength=n_classes)
-    if (counts < 2).any():
-        raise TrainingError("leave-one-out centroids need every class size >= 2")
-    sums = np.zeros((n_classes, h.shape[1]))
-    np.add.at(sums, labels, h)
-    return (sums[labels] - h) / (counts[labels] - 1)[:, None]
-
-
 def train(data, config=None):
-    """Alternating optimization of decoder nets and latent rows."""
+    """Per epoch, one decoder step then one latent step against the epoch's centroids."""
     config = config or TrainConfig()
     if data.labels is None:
         raise InputError("supervised training needs labels")
     n = data.n_samples
     latent, nets, _ = init_latent_model(data, config, config.l2_coefficient)
     trace = []
-    centroids = None
     for epoch in range(config.epochs):
         centroids = class_centroids(latent.H, data.labels, data.n_classes)
-        own = None
-        if config.centroid_excludes_self:
-            own = _leave_one_out_centroids(latent.H, data.labels, data.n_classes)
-        for _ in range(config.net_iters):
-            for net, r in zip(nets, residuals(nets, latent.H, data.views, data.mask)):
-                sgd_step(net, backward(net, latent.H, (2.0 / n) * r), config.lr_nets)
-        for _ in range(config.latent_iters):
-            g = latent_gradients(
-                nets, latent, data, data.labels, centroids, config.lam, own_centroids=own
-            )
-            latent.H -= config.lr_latent * g
-        obj = _objective(nets, latent, data, centroids, config, own_centroids=own)
+        for net, r in zip(nets, residuals(nets, latent.H, data.views, data.mask)):
+            sgd_step(net, backward(net, latent.H, (2.0 / n) * r), config.lr_nets)
+        latent.H -= config.lr_latent * latent_gradients(
+            nets, latent, data, data.labels, centroids, config.lam)
+        obj = reconstruction_loss(nets, latent, data)
+        obj += config.lam * classification_loss(latent, data.labels, centroids)
+        obj += sum(l2_penalty(net) for net in nets)
         check_finite(obj, "objective", epoch)
         trace.append(obj)
         if len(trace) > EARLY_STOP_WINDOW:

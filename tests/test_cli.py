@@ -1,5 +1,7 @@
 """End-to-end checks of the command line: every command, tiny budgets."""
 
+import argparse
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,8 +9,9 @@ import numpy as np
 import pytest
 
 from pmvl import cli
+from pmvl.adversarial import GanConfig
 from pmvl.data import MultiViewDataset, load_dataset, save_dataset
-from pmvl.supervised import load_model
+from pmvl.supervised import TrainConfig, load_model
 
 
 def run_cli(*argv):
@@ -259,6 +262,67 @@ def test_bad_config_file_exits_2_naming_it(complete_dir, tmp_path, capsys, text)
                  "--config", cfg, "--repeats", 1, "--out", tmp_path / "sup")
     assert rc == 2
     assert "bad.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("epochs", "5"), ("epochs", 2.5), ("epochs", True), ("latent_dim", None),
+    ("lam", "1"), ("infer_lr", False), ("net_iters", 3), ("centroid_excludes_self", True),
+])
+def test_wrong_typed_or_retired_config_value_exits_2(complete_dir, tmp_path, capsys, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    rc = run_cli("train-sup", "--data", complete_dir / "dataset.json",
+                 "--config", cfg, "--repeats", 1, "--out", tmp_path / "sup")
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+def test_malformed_dataset_manifest_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "dataset.json"
+    manifest.write_text(json.dumps({"views": "dataset_view0.csv"}))
+    rc = run_cli("mask", "--data", manifest, "--eta", 0.2, "--out", tmp_path / "x")
+    assert rc == 2
+    assert "dataset.json: 'views'" in capsys.readouterr().err
+
+
+CONFIG_COMMANDS = {
+    "train-sup": (TrainConfig,),
+    "train-unsup": (GanConfig,),
+    "sweep": (TrainConfig, GanConfig),
+}
+PRESETS = {TrainConfig: cli.SUP_PRESETS, GanConfig: cli.GAN_PRESETS}
+
+
+def field_names(config_cls):
+    return {f.name for f in dataclasses.fields(config_cls)} - {"seed"}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_COMMANDS))
+def test_every_config_flag_reaches_its_config(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = set().union(*map(field_names, CONFIG_COMMANDS[command]))
+    flags = [a for a in sub.choices[command]._actions
+             if a.dest in known or a.option_strings[0][2:].replace("-", "_") in known]
+    assert flags
+    argv = [command, "--data", "d.json", "--out", "o"]
+    expected = {}
+    for i, action in enumerate(flags):
+        assert action.dest in known, action.option_strings
+        # a distinct value per flag, so a dest that lands on another field shows
+        if action.type is None:  # --hidden-dims takes a comma list
+            text, expected[action.dest] = "97,89", (97, 89)
+        else:
+            text = str(71 + i)
+            expected[action.dest] = action.type(text)
+        argv += [action.option_strings[0], text]
+    args = parser.parse_args(argv)
+    for config_cls in CONFIG_COMMANDS[command]:
+        merged = cli._settings(args, PRESETS[config_cls], config_cls)
+        config = config_cls(**merged)
+        for dest, value in expected.items():
+            if dest in field_names(config_cls):
+                assert getattr(config, dest) == value, dest
 
 
 def test_nan_under_hidden_slot_changes_nothing(masked_dir, tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,39 @@ def test_save_load_roundtrip_unlabeled(tmp_path):
     manifest = save_dataset(data, tmp_path, name="u")
     back = load_dataset(manifest)
     assert back.labels is None
+
+
+@pytest.mark.parametrize("key, value", [
+    ("views", None),  # None drops the key
+    ("views", "dataset_view0.csv"),
+    ("views", []),
+    ("views", ["dataset_view0.csv", 1]),
+    ("mask", 0),
+    ("labels", ["dataset_labels.csv"]),
+    ("view_names", ["only_one"]),
+    ("view_names", "ab"),
+])
+def test_load_dataset_rejects_malformed_manifest(tmp_path, key, value):
+    manifest = save_dataset(small_complete(), tmp_path)
+    m = json.loads(manifest.read_text())
+    if value is None:
+        del m[key]
+    else:
+        m[key] = value
+    manifest.write_text(json.dumps(m))
+    with pytest.raises(IngestionError, match=rf"dataset\.json: '{key}'"):
+        load_dataset(manifest)
+
+
+def test_load_dataset_accepts_null_optional_keys(tmp_path):
+    data = MultiViewDataset([v.copy() for v in small_complete().views], np.ones((12, 2)))
+    manifest = save_dataset(data, tmp_path)
+    m = json.loads(manifest.read_text())
+    m.update(mask=None, labels=None, view_names=None)
+    manifest.write_text(json.dumps(m))
+    back = load_dataset(manifest)
+    assert (back.mask == 1).all() and back.labels is None
+    assert back.view_names == ["view_0", "view_1"]
 
 
 def test_normalize_unit_range_on_observed():

@@ -3,6 +3,7 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from pmvl import cli
@@ -15,6 +16,11 @@ KINDS = {
     # kind: (manifest, decoder role, loader)
     "model": ("model.json", "recon", load_model),
     "gan": ("gan.json", "gen", load_gan),
+}
+# config keys older checkpoints carry, at the one value they ever held
+RETIRED = {
+    "model": {"net_iters": 1, "latent_iters": 1, "centroid_excludes_self": False},
+    "gan": {"g_steps": 1, "h_steps": 1},
 }
 
 
@@ -80,3 +86,34 @@ def test_corrupt_checkpoint_is_pmvl_error(checkpoints, tmp_path, kind, corruptio
                        "--out", str(tmp_path / "eval")])
         assert rc == 2
         assert target in capsys.readouterr().err
+
+
+def net_arrays(nets):
+    return [a for net in nets for a in (*net.weights, *net.biases)]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_checkpoint_with_retired_keys_loads_same_model(checkpoints, tmp_path, kind, capsys):
+    root, data_manifest = checkpoints
+    manifest, _, load = KINDS[kind]
+    ckpt = tmp_path / kind
+    shutil.copytree(root / kind, ckpt)
+    m = json.loads((ckpt / manifest).read_text())
+    m["config"].update(RETIRED[kind])
+    (ckpt / manifest).write_text(json.dumps(m))
+    fresh, old = load(root / kind), load(ckpt)
+    assert old.config == fresh.config
+    assert np.array_equal(old.latent.H, fresh.latent.H)
+    nets = "recon_nets" if kind == "model" else "generators"
+    for a, b in zip(net_arrays(getattr(old, nets)), net_arrays(getattr(fresh, nets))):
+        assert np.array_equal(a, b)
+    key = next(iter(RETIRED[kind]))
+    m["config"][key] = 2
+    (ckpt / manifest).write_text(json.dumps(m))
+    with pytest.raises(PmvlError, match=key):
+        load(ckpt)
+    if kind == "model":
+        rc = cli.main(["eval", "--model", str(ckpt), "--data", str(data_manifest),
+                       "--out", str(tmp_path / "eval")])
+        assert rc == 2
+        assert key in capsys.readouterr().err

@@ -257,20 +257,6 @@ def test_train_convex_subcase_trace_never_rises():
     assert (diffs <= 1e-9).all()
 
 
-def test_train_leave_one_out_flag_runs_and_differs():
-    data = synth_dataset(30, 2, 4, [6, 5], seed=4, noise_scale=0.05)
-    plain = train(data, small_config(epochs=15))
-    loo = train(data, small_config(epochs=15, centroid_excludes_self=True))
-    assert not np.array_equal(plain.latent.H, loo.latent.H)
-
-
-def test_train_leave_one_out_needs_two_per_class():
-    views = [np.random.default_rng(0).normal(size=(3, 4))]
-    data = MultiViewDataset(views, np.ones((3, 1)), labels=np.array([0, 1, 1]))
-    with pytest.raises(TrainingError):
-        train(data, small_config(epochs=5, centroid_excludes_self=True))
-
-
 # -------------------------------------------------------------- retuning
 
 def test_retune_zero_epochs_is_identity():
