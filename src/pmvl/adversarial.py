@@ -123,18 +123,28 @@ def _log_upstream(scores, sign, count):
     return np.where(inside, -1.0 / (1.0 - scores), 0.0) / count
 
 
-def discriminator_gradients(model, data):
-    """Exact adversarial-loss gradients per discriminator; None when inert."""
-    out = []
-    for v, disc in enumerate(model.discriminators):
+def generator_fills(model, data):
+    """Per view, the generator's output on the rows missing that view; None when none are."""
+    fills = []
+    for v, gen in enumerate(model.generators):
         miss = data.mask[:, v] == 0
-        if not miss.any():
+        fills.append(forward(gen, model.latent.H[miss]) if miss.any() else None)
+    return fills
+
+
+def discriminator_gradients(model, data, fills):
+    """Exact adversarial-loss gradients per discriminator; None when inert.
+
+    `fills` is generator_fills(model, data) for the current generators and latents.
+    """
+    out = []
+    for v, (disc, fake_rows) in enumerate(zip(model.discriminators, fills)):
+        if fake_rows is None:
             out.append(None)
             continue
-        obs = ~miss
-        fake_rows = forward(model.generators[v], model.latent.H[miss])
+        obs = data.mask[:, v] != 0
         scores_f = forward(disc, fake_rows)
-        bundle = backward(disc, fake_rows, _log_upstream(scores_f, -1, int(miss.sum())))
+        bundle = backward(disc, fake_rows, _log_upstream(scores_f, -1, len(fake_rows)))
         if obs.any():
             x = data.views[v][obs]
             scores_r = forward(disc, x)
@@ -186,8 +196,9 @@ def train_unsupervised(data, config=None):
     ]
     model = AdversarialModel(latent, gens, discs, config)
     for epoch in range(config.epochs):
+        fills = generator_fills(model, data)  # generators and latents are frozen until the g-phase
         for _ in range(config.d_steps):
-            for disc, bundle in zip(discs, discriminator_gradients(model, data)):
+            for disc, bundle in zip(discs, discriminator_gradients(model, data, fills)):
                 if bundle is None:
                     continue
                 sgd_step(disc, bundle.scale(-1.0), config.lr)  # ascent
@@ -221,10 +232,9 @@ def impute(model, data, truth=None):
             f"dataset has {data.n_samples} rows, model carries {model.latent.n_rows} latents"
         )
     completed = data.copy()
-    for v, gen in enumerate(model.generators):
-        hole = data.mask[:, v] == 0
-        if hole.any():
-            completed.views[v][hole] = forward(gen, model.latent.H[hole])
+    for v, fill in enumerate(generator_fills(model, data)):
+        if fill is not None:
+            completed.views[v][data.mask[:, v] == 0] = fill
     completed.mask = np.ones_like(data.mask)
     result = ImputationResult(completed)
     if truth is not None and (data.mask == 0).any():

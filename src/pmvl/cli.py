@@ -68,12 +68,13 @@ SWEEP_METHODS = (
 )
 
 
-def _ints(text):
-    return tuple(int(t) for t in text.split(",") if t.strip() != "")
-
-
-def _floats(text):
-    return [float(t) for t in text.split(",") if t.strip() != ""]
+def _parse_list(text, kind, name):
+    """Comma-separated `kind` values; a bad entry is a ConfigurationError naming `name`."""
+    try:
+        return [kind(t) for t in text.split(",") if t.strip() != ""]
+    except ValueError:
+        raise ConfigurationError(
+            f"{name} must be comma-separated {kind.__name__} values, got {text!r}") from None
 
 
 def _write_report(out_dir, payload):
@@ -99,13 +100,13 @@ def _settings(args, preset_table, config_cls):
     merged.update((k, v) for k, v in vars(args).items() if k in known and v is not None)
     merged = {k: v for k, v in drop_retired(merged).items() if k in known}
     if isinstance(merged.get("hidden_dims"), str):
-        merged["hidden_dims"] = _ints(merged["hidden_dims"])
+        merged["hidden_dims"] = _parse_list(merged["hidden_dims"], int, "hidden_dims")
     return merged
 
 
 def cmd_synth(args):
     data = synth_dataset(
-        args.n, args.classes, args.zdim, list(_ints(args.view_dims)),
+        args.n, args.classes, args.zdim, _parse_list(args.view_dims, int, "view_dims"),
         seed=args.seed, noise_scale=args.noise, center_scale=args.center_scale,
         nuisance_scale=args.nuisance,
     )
@@ -308,7 +309,7 @@ def _sweep_cell(data, method, eta, seed, sup_settings, gan_settings, train_frac)
 
 def cmd_sweep(args):
     data = load_dataset(args.data)
-    rates = _floats(args.rates)
+    rates = _parse_list(args.rates, float, "rates")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in SWEEP_METHODS:

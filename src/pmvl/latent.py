@@ -10,6 +10,7 @@ little-endian float64 arrays.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,6 +72,8 @@ class LatentConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 what = "an integer" if kind is numbers.Integral else "a number"
                 raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         for name in positive:
             value = getattr(self, name)
             if value is not None and value <= 0:
@@ -78,9 +81,11 @@ class LatentConfig:
         for name in nonnegative:
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
-        self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
-        if any(d <= 0 for d in self.hidden_dims):
-            raise ConfigurationError("hidden_dims must be positive")
+        dims = self.hidden_dims
+        if not isinstance(dims, (list, tuple)) or any(
+                isinstance(d, bool) or not isinstance(d, numbers.Integral) or d <= 0 for d in dims):
+            raise ConfigurationError(f"hidden_dims must be a list of positive integers, got {dims!r}")
+        self.hidden_dims = tuple(int(d) for d in dims)
 
     def to_dict(self):
         d = dict(self.__dict__)
@@ -90,7 +95,7 @@ class LatentConfig:
     @classmethod
     def from_dict(cls, d):
         d = drop_retired(d)
-        d["hidden_dims"] = tuple(d.get("hidden_dims", ()))
+        d.setdefault("hidden_dims", ())
         return cls(**d)
 
 

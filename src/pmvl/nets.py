@@ -26,19 +26,31 @@ SIGMOID_ALL = "sigmoid_all"        # sigmoid on every layer, output included
 _ACTIVATIONS = (SIGMOID_HIDDEN, SIGMOID_ALL)
 
 
+# float64 rounds the logistic to exactly 0 or 1 once |x| is large; sigmoid
+# nudges it back inside the open interval so downstream logs stay finite
+_TINY = np.finfo(np.float64).tiny
+_ONE_BELOW = 1.0 - np.finfo(np.float64).epsneg
+
+
 def sigmoid(x):
-    """Numerically stable logistic function, strictly inside (0, 1)."""
+    """Numerically stable logistic function, strictly inside (0, 1).
+
+    One branch-free pass with e = exp(-|x|): 1/(1+e) where x >= 0 and
+    e/(1+e) elsewhere. Since -|x| is exactly -x or x, every element takes
+    the same IEEE operations as 1/(1+exp(-x)) for x >= 0 and
+    exp(x)/(1+exp(x)) for x < 0, so the result is bit-for-bit that
+    two-branch formula's.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    # float64 rounds to exactly 0 or 1 once |x| is large; nudge back inside
-    # the open interval so downstream logs stay finite
-    tiny = np.finfo(np.float64).tiny
-    np.clip(out, tiny, 1.0 - np.finfo(np.float64).epsneg, out=out)
-    return out
+    e = np.abs(x, out=np.empty_like(x))  # out= keeps a 0-d input an array
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    numerator = np.maximum(e, x >= 0)
+    e += 1.0
+    np.divide(numerator, e, out=e)
+    np.maximum(e, _TINY, out=e)
+    np.minimum(e, _ONE_BELOW, out=e)
+    return e
 
 
 @dataclass

@@ -21,6 +21,7 @@ from pmvl.adversarial import (
     adversarial_loss,
     combined_upstreams,
     discriminator_gradients,
+    generator_fills,
     impute,
     latent_gradient,
     train_unsupervised,
@@ -239,7 +240,7 @@ def check_adversarial_instance(rng):
                         + reconstruction_loss(model.generators, model.latent, data))
     adv_only = lambda: adversarial_loss(model, data)
 
-    d_bundles = discriminator_gradients(model, data)
+    d_bundles = discriminator_gradients(model, data, generator_fills(model, data))
     for disc, bundle in zip(model.discriminators, d_bundles):
         if bundle is None:
             continue

@@ -9,6 +9,7 @@ from pmvl.adversarial import (
     adversarial_loss,
     combined_upstreams,
     discriminator_gradients,
+    generator_fills,
     impute,
     latent_gradient,
     load_gan,
@@ -108,7 +109,7 @@ def test_adversarial_loss_inert_on_complete_data():
     discs = [sigmoid_net(rng.normal(size=(1, d)), [0.1]) for d in (3, 2)]
     model = tiny_model(rng.normal(size=(data.n_samples, 2)), gens, discs)
     assert adversarial_loss(model, data) == 0.0
-    assert discriminator_gradients(model, data) == [None, None]
+    assert discriminator_gradients(model, data, generator_fills(model, data)) == [None, None]
 
 
 def test_adversarial_loss_matches_hand_computation():
@@ -195,7 +196,7 @@ def test_discriminator_gradients_match_finite_differences():
     eps = 1e-5
     for seed in range(3):
         model, data = random_model_and_data(seed)
-        grads = discriminator_gradients(model, data)
+        grads = discriminator_gradients(model, data, generator_fills(model, data))
         for v, disc in enumerate(model.discriminators):
             for layer in range(disc.n_layers):
                 w = disc.weights[layer]
@@ -254,7 +255,8 @@ def test_latent_gradient_matches_finite_differences():
 def test_discriminator_ascent_step_increases_loss():
     model, data = random_model_and_data(7)
     before = adversarial_loss(model, data)
-    for disc, bundle in zip(model.discriminators, discriminator_gradients(model, data)):
+    fills = generator_fills(model, data)
+    for disc, bundle in zip(model.discriminators, discriminator_gradients(model, data, fills)):
         if bundle is None:
             continue
         for i in range(len(bundle.d_weights)):

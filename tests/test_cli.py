@@ -267,6 +267,8 @@ def test_bad_config_file_exits_2_naming_it(complete_dir, tmp_path, capsys, text)
 @pytest.mark.parametrize("key, value", [
     ("epochs", "5"), ("epochs", 2.5), ("epochs", True), ("latent_dim", None),
     ("lam", "1"), ("infer_lr", False), ("net_iters", 3), ("centroid_excludes_self", True),
+    ("hidden_dims", 5), ("hidden_dims", [2.7]), ("hidden_dims", "a,b"),
+    ("tol", float("nan")), ("l2_coefficient", float("inf")),
 ])
 def test_wrong_typed_or_retired_config_value_exits_2(complete_dir, tmp_path, capsys, key, value):
     cfg = tmp_path / "cfg.json"
@@ -274,6 +276,19 @@ def test_wrong_typed_or_retired_config_value_exits_2(complete_dir, tmp_path, cap
     rc = run_cli("train-sup", "--data", complete_dir / "dataset.json",
                  "--config", cfg, "--repeats", 1, "--out", tmp_path / "sup")
     assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, key", [
+    ("train-sup", "--hidden-dims", "hidden_dims"),
+    ("synth", "--view-dims", "view_dims"),
+    ("sweep", "--rates", "rates"),
+])
+def test_non_numeric_list_flag_exits_2(complete_dir, tmp_path, capsys, command, flag, key):
+    argv = [command, flag, "a,b", "--out", tmp_path / "x"]
+    if command != "synth":
+        argv += ["--data", complete_dir / "dataset.json"]
+    assert run_cli(*argv) == 2
     assert key in capsys.readouterr().err
 
 

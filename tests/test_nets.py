@@ -51,6 +51,42 @@ def test_sigmoid_extremes_finite():
     assert np.isfinite(s).all()
 
 
+def two_branch_sigmoid(x):
+    # the reference formula: 1/(1+exp(-x)) for x >= 0, exp(x)/(1+exp(x)) below
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    np.clip(out, np.finfo(np.float64).tiny, 1.0 - np.finfo(np.float64).epsneg, out=out)
+    return out
+
+
+SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 36.7, -36.7,
+                 710.0, -710.0, 746.0, -746.0, 1e308, -1e308, np.inf, -np.inf]
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sigmoid_bit_equal_to_two_branch_formula():
+    edges = np.array(SIGMOID_EDGES)
+    assert_same_bytes(sigmoid(edges), two_branch_sigmoid(edges))
+    assert_same_bytes(sigmoid(np.array(-0.3)), two_branch_sigmoid(np.array(-0.3)))
+    rng = np.random.default_rng(11)
+    for scale in (0.5, 5.0, 50.0, 900.0):
+        for shape in ((1, 1), (7, 13), (100, 1), (210, 64)):
+            x = scale * rng.normal(size=shape)
+            assert_same_bytes(sigmoid(x), two_branch_sigmoid(x))
+        wide = scale * rng.normal(size=(40, 30))
+        for view in (wide.T, wide[::3, 1::2]):
+            assert_same_bytes(sigmoid(view), two_branch_sigmoid(view))
+    assert np.isnan(sigmoid(np.array([np.nan, -np.nan]))).all()
+
+
 def test_forward_zero_weight_net_outputs_half():
     # all-zero weights and biases, sigmoid on the output: every unit is 0.5
     net = DenseNet(
