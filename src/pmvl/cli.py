@@ -9,14 +9,14 @@ under identical arguments and seeds. Option precedence is command line over
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import itertools
 import json
-import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +33,14 @@ from .baselines import (
 from .data import (
     MissingSpec,
     apply_missing_pattern,
+    check_train_fraction,
     load_dataset,
     measured_rate,
     save_dataset,
     split,
     synth_dataset,
 )
-from .errors import ConfigurationError, PmvlError, read_json_object
+from .errors import ConfigurationError, DimensionError, PmvlError, read_json_object
 from .latent import drop_retired
 from .metrics import evaluate_clustering, nrmse
 from .supervised import TrainConfig, evaluate, load_model, retune, save_model, train
@@ -75,6 +76,20 @@ def _parse_list(text, kind, name):
     except ValueError:
         raise ConfigurationError(
             f"{name} must be comma-separated {kind.__name__} values, got {text!r}") from None
+
+
+@contextlib.contextmanager
+def _naming(what, kind=ConfigurationError):
+    """Prefix the message of a `kind` error raised in the block with `what`."""
+    try:
+        yield
+    except kind as exc:
+        raise type(exc)(f"{what}: {exc}") from None
+
+
+def _check_repeats(repeats):
+    if repeats < 1:
+        raise ConfigurationError(f"--repeats must be >= 1, got {repeats}")
 
 
 def _write_report(out_dir, payload):
@@ -138,12 +153,8 @@ def cmd_mask(args):
     return 0
 
 
-def _sup_pipeline(data, eta, train_frac, cfg, seed, with_retune):
-    """Split, mask both halves at eta, train, optionally retune, evaluate."""
-    tr, te = split(data, train_frac, seed=seed)
-    if eta > 0:
-        tr = apply_missing_pattern(tr, MissingSpec(eta, seed=seed))
-        te = apply_missing_pattern(te, MissingSpec(eta, seed=seed + 1))
+def _sup_pipeline(tr, te, cfg, with_retune):
+    """Train on tr, optionally retune, and evaluate on te without warnings."""
     model = train(tr, cfg)
     if with_retune:
         model = retune(model, tr)
@@ -153,7 +164,18 @@ def _sup_pipeline(data, eta, train_frac, cfg, seed, with_retune):
     return model, report
 
 
+def _unsup_pipeline(masked, cfg, truth):
+    """Train adversarially, fill the hidden slots, and cluster the latents if labelled."""
+    model = train_unsupervised(masked, cfg)
+    result = gan_impute(model, masked, truth=truth)
+    clustering = None
+    if masked.labels is not None:
+        clustering = evaluate_clustering(model.latent.H, masked.labels, seed=cfg.seed)
+    return model, result, clustering
+
+
 def cmd_train_sup(args):
+    _check_repeats(args.repeats)
     data = load_dataset(args.data)
     merged = _settings(args, SUP_PRESETS, TrainConfig)
     out = Path(args.out)
@@ -161,9 +183,11 @@ def cmd_train_sup(args):
     seeds = [args.seed + r for r in range(args.repeats)]
     first_model = None
     for s in seeds:
-        cfg = TrainConfig(seed=s, **merged)
-        model, report = _sup_pipeline(
-            data, args.eta, args.train_frac, cfg, s, not args.no_retune)
+        tr, te = split(data, args.train_frac, seed=s)
+        if args.eta > 0:
+            tr = apply_missing_pattern(tr, MissingSpec(args.eta, seed=s))
+            te = apply_missing_pattern(te, MissingSpec(args.eta, seed=s + 1))
+        model, report = _sup_pipeline(tr, te, TrainConfig(seed=s, **merged), not args.no_retune)
         if first_model is None:
             first_model = model
         accs.append(report.accuracy)
@@ -200,8 +224,7 @@ def cmd_train_unsup(args):
         if args.truth:
             truth = load_dataset(args.truth)
     cfg = GanConfig(seed=args.seed, **merged)
-    model = train_unsupervised(masked, cfg)
-    result = gan_impute(model, masked, truth=truth)
+    model, result, clustering = _unsup_pipeline(masked, cfg, truth)
     out = Path(args.out)
     ckpt = save_gan(model, out / "gan")
     imputed = save_dataset(result.completed, out / "imputed", name="dataset")
@@ -219,9 +242,8 @@ def cmd_train_unsup(args):
             "per_view": result.per_view_nrmse,
             "overall": result.overall_nrmse,
         }
-    if masked.labels is not None:
-        clu = evaluate_clustering(model.latent.H, masked.labels, seed=args.seed)
-        payload["clustering"] = {"acc": clu.acc, "nmi": clu.nmi}
+    if clustering is not None:
+        payload["clustering"] = {"acc": clustering.acc, "nmi": clustering.nmi}
     _write_report(out, payload)
     print(f"reconstruction loss {model.rec_trace[-1]:.6f}"
           + (f", overall nrmse {result.overall_nrmse:.6f}"
@@ -253,7 +275,7 @@ def cmd_impute(args):
 def cmd_eval(args):
     model = load_model(args.model)
     data = load_dataset(args.data)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), _naming(f"--model {args.model}", DimensionError):
         warnings.simplefilter("ignore")
         report = evaluate(model, data)
     _write_report(args.out, {"command": "eval", "model": str(args.model), **report.to_dict()})
@@ -267,14 +289,8 @@ def _sweep_cell(data, method, eta, seed, sup_settings, gan_settings, train_frac)
     if eta > 0:
         masked = apply_missing_pattern(data, MissingSpec(eta, seed=seed))
     if method in ("sup", "sup-noretune"):
-        cfg = TrainConfig(seed=seed, **sup_settings)
         tr, te = split(masked, train_frac, seed=seed)
-        model = train(tr, cfg)
-        if method == "sup":
-            model = retune(model, tr)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            report = evaluate(model, te)
+        _, report = _sup_pipeline(tr, te, TrainConfig(seed=seed, **sup_settings), method == "sup")
         return [("accuracy", report.accuracy)]
     if method in ("mean-nc", "mean-knn"):
         filled = impute_baseline(masked, GLOBAL_MEAN)
@@ -286,14 +302,12 @@ def _sweep_cell(data, method, eta, seed, sup_settings, gan_settings, train_frac)
         settings = dict(gan_settings)
         if method == "unsup-nogan":
             settings["adv_weight"] = 0.0
-        model = train_unsupervised(masked, GanConfig(seed=seed, **settings))
-        result = gan_impute(model, masked, truth=data)
+        _, result, clustering = _unsup_pipeline(masked, GanConfig(seed=seed, **settings), data)
         rows = []
         if result.overall_nrmse is not None:
             rows.append(("nrmse", result.overall_nrmse))
-        if masked.labels is not None:
-            clu = evaluate_clustering(model.latent.H, masked.labels, seed=seed)
-            rows += [("acc", clu.acc), ("nmi", clu.nmi)]
+        if clustering is not None:
+            rows += [("acc", clustering.acc), ("nmi", clustering.nmi)]
         return rows
     if method in ("mean-fill", "class-fill", "svd-fill"):
         kind = {"mean-fill": GLOBAL_MEAN, "class-fill": CLASS_MEAN, "svd-fill": SVD}[method]
@@ -308,7 +322,6 @@ def _sweep_cell(data, method, eta, seed, sup_settings, gan_settings, train_frac)
 
 
 def cmd_sweep(args):
-    data = load_dataset(args.data)
     rates = _parse_list(args.rates, float, "rates")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
@@ -317,26 +330,29 @@ def cmd_sweep(args):
                 f"unknown sweep method '{m}'; pick from {', '.join(SWEEP_METHODS)}")
     sup_settings = _settings(args, SUP_PRESETS, TrainConfig)
     gan_settings = _settings(args, GAN_PRESETS, GanConfig)
-    cells = [
-        (method, eta, args.seed + r)
-        for method in methods for eta in rates for r in range(args.repeats)
-    ]
+    # settings that are wrong for every cell stop the run before any cell runs
+    with _naming("--rates"):
+        for eta in rates:
+            MissingSpec(eta)
+    with _naming("--train-frac"):
+        check_train_fraction(args.train_frac)
+    _check_repeats(args.repeats)
+    if any(m.startswith("sup") for m in methods):
+        TrainConfig(**sup_settings)
+    if any(m.startswith("unsup") for m in methods):
+        GanConfig(**gan_settings)
+    data = load_dataset(args.data)
     rows = []
     failures = []
-
-    def run(cell):
-        method, eta, seed = cell
-        return cell, _sweep_cell(
-            data, method, eta, seed, sup_settings, gan_settings, args.train_frac)
-
-    workers = int(os.environ.get("PMVL_THREADS", "0")) or min(32, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for cell, outcome in pool.map(lambda c: _guarded(run, c), cells):
-            method, eta, seed = cell
-            if isinstance(outcome, Exception):
-                failures.append((method, eta, seed, f"{type(outcome).__name__}: {outcome}"))
-            else:
-                rows += [(method, eta, seed, metric, value) for metric, value in outcome]
+    seeds = range(args.seed, args.seed + args.repeats)
+    for method, eta, seed in itertools.product(methods, rates, seeds):
+        try:
+            outcome = _sweep_cell(
+                data, method, eta, seed, sup_settings, gan_settings, args.train_frac)
+        except Exception as exc:  # cell failures land in failures.csv, run continues
+            failures.append((method, eta, seed, f"{type(exc).__name__}: {exc}"))
+        else:
+            rows += [(method, eta, seed, metric, value) for metric, value in outcome]
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     failures.sort(key=lambda r: (r[0], r[1], r[2]))
 
@@ -362,13 +378,6 @@ def cmd_sweep(args):
     })
     print(f"{len(rows)} rows, {len(failures)} failures -> {out / 'sweep.csv'}")
     return 0
-
-
-def _guarded(fn, cell):
-    try:
-        return fn(cell)
-    except Exception as exc:  # cell failures land in failures.csv, run continues
-        return cell, exc
 
 
 def _add_common(p, preset=True):

