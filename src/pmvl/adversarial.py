@@ -34,6 +34,7 @@ from .latent import (
     LatentConfig,
     LatentTable,
     check_finite,
+    check_views,
     init_latent_model,
     latent_pullback,
     reconstruction_loss,
@@ -41,7 +42,7 @@ from .latent import (
     save_checkpoint,
 )
 from .metrics import nrmse
-from .nets import SIGMOID_ALL, backward, forward, init_net, sgd_step
+from .nets import SIGMOID_ALL, activations, backward, forward, init_net, sgd_step
 
 LOG_EPS = 1e-7  # scores are clamped to [eps, 1-eps] before any log
 
@@ -52,8 +53,10 @@ class GanConfig(LatentConfig):
 
     One shared step size drives all three phases; latent updates use
     per-sample gradient scaling (the dataset-level 1/N cancelled out) so
-    the rate transfers across dataset sizes. adv_weight=0 turns the
-    discriminators off entirely, giving the plain unsupervised ablation.
+    the rate transfers across dataset sizes. adv_weight=0 removes the
+    adversarial term from the generator and latent updates, giving the plain
+    unsupervised ablation; the discriminators still train for d_steps per
+    epoch, and their loss still fills d_trace.
     """
 
     latent_dim: int = 16
@@ -92,27 +95,40 @@ class ImputationResult:
     overall_nrmse: float | None = None
 
 
-def adversarial_loss(model, data):
+def adversarial_loss(model, data, fills=None, real=None):
     """Sum over views with missing rows of real and fake log terms.
 
     Real term: mean log score of that view's observed feature rows. Fake
     term: mean log(1 - score) of generator outputs for the rows missing
     that view. Scores are clamped away from 0 and 1 so both logs stay
-    finite; views with no missing rows are skipped entirely.
+    finite; views with no missing rows are skipped entirely. `fills` and
+    `real`, when given, are generator_fills and real_terms for the model
+    as it stands.
     """
+    fills = generator_fills(model, data) if fills is None else fills
+    real = real_terms(model, data) if real is None else real
     total = 0.0
-    for v, disc in enumerate(model.discriminators):
-        miss = data.mask[:, v] == 0
-        if not miss.any():
+    for disc, fake_rows, real_term in zip(model.discriminators, fills, real):
+        if fake_rows is None:
             continue
-        obs = ~miss
-        if obs.any():
-            real = np.clip(forward(disc, data.views[v][obs]), LOG_EPS, 1 - LOG_EPS)
-            total += float(np.log(real).mean())
-        fake_rows = forward(model.generators[v], model.latent.H[miss])
+        if real_term is not None:
+            total += real_term
         fake = np.clip(forward(disc, fake_rows), LOG_EPS, 1 - LOG_EPS)
         total += float(np.log1p(-fake).mean())
     return total
+
+
+def real_terms(model, data):
+    """Per view, adversarial_loss's real term; None without both missing and observed rows."""
+    terms = []
+    for v, disc in enumerate(model.discriminators):
+        obs = data.mask[:, v] != 0
+        if obs.all() or not obs.any():
+            terms.append(None)
+            continue
+        real = np.clip(forward(disc, data.views[v][obs]), LOG_EPS, 1 - LOG_EPS)
+        terms.append(float(np.log(real).mean()))
+    return terms
 
 
 def _log_upstream(scores, sign, count):
@@ -143,47 +159,49 @@ def discriminator_gradients(model, data, fills):
             out.append(None)
             continue
         obs = data.mask[:, v] != 0
-        scores_f = forward(disc, fake_rows)
-        bundle = backward(disc, fake_rows, _log_upstream(scores_f, -1, len(fake_rows)))
+        acts = activations(disc, fake_rows)
+        bundle = backward(disc, fake_rows, _log_upstream(acts[-1], -1, len(fake_rows)), acts)
         if obs.any():
             x = data.views[v][obs]
-            scores_r = forward(disc, x)
-            bundle.accumulate(backward(disc, x, _log_upstream(scores_r, +1, int(obs.sum()))))
+            acts = activations(disc, x)
+            bundle.accumulate(backward(disc, x, _log_upstream(acts[-1], +1, int(obs.sum())), acts))
         out.append(bundle)
     return out
 
 
-def combined_upstreams(model, data):
+def combined_upstreams(model, data, acts=None):
     """dC/d(generator output) per view, C = adv_weight * L_adv + L_rec.
 
     Observed rows carry the (2/N)-scaled reconstruction residual; rows
     missing the view carry the adversarial fake-term path pulled back
-    through the frozen discriminator.
+    through the frozen discriminator. `acts`, when given, holds each
+    generator's activations on the latent table.
     """
     n = data.n_samples
     ups = []
     for v, gen in enumerate(model.generators):
-        out = forward(gen, model.latent.H)
+        out = forward(gen, model.latent.H) if acts is None else acts[v][-1]
         u = (2.0 / n) * residual(out, data.views[v], data.mask[:, v:v + 1])
         miss = data.mask[:, v] == 0
         if model.config.adv_weight > 0 and miss.any():
-            disc = model.discriminators[v]
-            scores = forward(disc, out[miss])
-            ud = model.config.adv_weight * _log_upstream(scores, -1, int(miss.sum()))
-            u[miss] += backward(disc, out[miss], ud).d_input
+            disc, fake_rows = model.discriminators[v], out[miss]
+            d_acts = activations(disc, fake_rows)
+            ud = model.config.adv_weight * _log_upstream(d_acts[-1], -1, int(miss.sum()))
+            u[miss] += backward(disc, fake_rows, ud, d_acts).d_input
         ups.append(u)
     return ups
 
 
-def latent_gradient(model, data):
+def latent_gradient(model, data, acts=None):
     """Per-row gradient of the combined objective, scaled by N.
 
     The dataset-level objective carries 1/N and 1/n_missing factors; the
     N rescale keeps latent step sizes meaningful independent of dataset
-    size, matching the supervised trainer's convention.
+    size, matching the supervised trainer's convention. `acts` is as in
+    combined_upstreams.
     """
-    g = latent_pullback(model.generators, model.latent.H, combined_upstreams(model, data))
-    return data.n_samples * g
+    ups = combined_upstreams(model, data, acts)
+    return data.n_samples * latent_pullback(model.generators, model.latent.H, ups, acts)
 
 
 def train_unsupervised(data, config=None):
@@ -195,6 +213,8 @@ def train_unsupervised(data, config=None):
         for d in data.view_dims
     ]
     model = AdversarialModel(latent, gens, discs, config)
+    # each generator's activations on H, evaluated again whenever either changes
+    acts = [activations(gen, latent.H) for gen in gens]
     for epoch in range(config.epochs):
         fills = generator_fills(model, data)  # generators and latents are frozen until the g-phase
         for _ in range(config.d_steps):
@@ -202,19 +222,22 @@ def train_unsupervised(data, config=None):
                 if bundle is None:
                     continue
                 sgd_step(disc, bundle.scale(-1.0), config.lr)  # ascent
-        adv = adversarial_loss(model, data)
+        real = real_terms(model, data)  # the discriminators are frozen for the rest of the epoch
+        adv = adversarial_loss(model, data, fills, real)
         check_finite(adv, "discriminator phase", epoch)
         model.d_trace.append(adv)
 
-        for v, u in enumerate(combined_upstreams(model, data)):
-            sgd_step(gens[v], backward(gens[v], latent.H, u), config.lr)
-        combined = config.adv_weight * adversarial_loss(model, data)
-        combined += reconstruction_loss(gens, latent, data)
+        for v, u in enumerate(combined_upstreams(model, data, acts)):
+            sgd_step(gens[v], backward(gens[v], latent.H, u, acts[v]), config.lr)
+        acts = [activations(gen, latent.H) for gen in gens]
+        combined = config.adv_weight * adversarial_loss(model, data, real=real)
+        combined += reconstruction_loss(gens, latent, data, acts)
         check_finite(combined, "generator phase", epoch)
         model.g_trace.append(combined)
 
-        latent.H -= config.lr * latent_gradient(model, data)
-        rec = reconstruction_loss(gens, latent, data)
+        latent.H -= config.lr * latent_gradient(model, data, acts)
+        acts = [activations(gen, latent.H) for gen in gens]
+        rec = reconstruction_loss(gens, latent, data, acts)
         check_finite(rec, "latent phase", epoch)
         model.rec_trace.append(rec)
     return model
@@ -227,6 +250,7 @@ def impute(model, data, truth=None):
     over the previously missing slots; with nothing missing the error is
     undefined and the report fields stay None.
     """
+    check_views(model.generators, data.views)
     if data.n_samples != model.latent.n_rows:
         raise InputError(
             f"dataset has {data.n_samples} rows, model carries {model.latent.n_rows} latents"

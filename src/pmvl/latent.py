@@ -129,8 +129,10 @@ def residual(out, x, mask_col):
     return (out - x) * mask_col
 
 
-def residuals(nets, h, views, mask):
-    return [residual(forward(net, h), views[v], mask[:, v:v + 1]) for v, net in enumerate(nets)]
+def residuals(nets, h, views, mask, acts=None):
+    """Per-view masked residuals; `acts` holds each net's activations on h when known."""
+    outs = [forward(net, h) for net in nets] if acts is None else [a[-1] for a in acts]
+    return [residual(out, views[v], mask[:, v:v + 1]) for v, out in enumerate(outs)]
 
 
 def squared_error(res):
@@ -140,16 +142,16 @@ def squared_error(res):
     return total
 
 
-def reconstruction_loss(nets, latent, data):
+def reconstruction_loss(nets, latent, data, acts=None):
     """Masked squared reconstruction error averaged over samples."""
-    return squared_error(residuals(nets, latent.H, data.views, data.mask)) / data.n_samples
+    return squared_error(residuals(nets, latent.H, data.views, data.mask, acts)) / data.n_samples
 
 
-def latent_pullback(nets, h, upstreams):
-    """Sum over views of dL/dh, given each view's dL/d(f_v(h))."""
+def latent_pullback(nets, h, upstreams, acts=None):
+    """Sum over views of dL/dh, given each view's dL/d(f_v(h)) and optionally its activations."""
     g = np.zeros_like(h)
-    for net, u in zip(nets, upstreams):
-        g += backward(net, h, u).d_input
+    for v, (net, u) in enumerate(zip(nets, upstreams)):
+        g += backward(net, h, u, None if acts is None else acts[v]).d_input
     return g
 
 

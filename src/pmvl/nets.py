@@ -169,30 +169,40 @@ def _check_input(net, x, where="input"):
     return x
 
 
-def forward(net, input_batch):
-    """Evaluate the net on a (B, d_in) batch; returns (B, d_out)."""
+def activations(net, input_batch):
+    """Every layer's output on a (B, d_in) batch: the batch first, forward's result last."""
     a = _check_input(net, input_batch)
+    acts = [a]
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ w.T + b
         a = sigmoid(z) if net.layer_activated(i) else z
-    return a
+        acts.append(a)
+    return acts
 
 
-def backward(net, input_batch, upstream_grad):
+def forward(net, input_batch):
+    """Evaluate the net on a (B, d_in) batch; returns (B, d_out)."""
+    return activations(net, input_batch)[-1]
+
+
+def backward(net, input_batch, upstream_grad, acts=None):
     """Backpropagate an upstream gradient through the net.
 
     `upstream_grad` is dL/d(output), shaped like forward's result. Returns a
     GradientBundle whose d_weights include the l2 term c * W (biases carry no
     decay) and whose d_input is dL/d(input_batch). Parameter gradients are
     summed over the batch, i.e. they are exact gradients of the scalar L.
+    `acts`, when given, must be activations(net, input_batch) for the net's
+    current parameters; without it they are evaluated here.
     """
-    x = _check_input(net, input_batch)
-    acts = [x]
-    a = x
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
-        a = sigmoid(z) if net.layer_activated(i) else z
-        acts.append(a)
+    if acts is None:
+        x = _check_input(net, input_batch)
+        acts = [x]
+        a = x
+        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+            z = a @ w.T + b
+            a = sigmoid(z) if net.layer_activated(i) else z
+            acts.append(a)
 
     g = np.asarray(upstream_grad, dtype=np.float64)
     if g.ndim == 1:

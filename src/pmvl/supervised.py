@@ -41,7 +41,7 @@ from .latent import (
     squared_error,
 )
 from .metrics import classification_report
-from .nets import backward, forward, l2_penalty, sgd_step
+from .nets import activations, backward, l2_penalty, sgd_step
 
 EARLY_STOP_WINDOW = 10
 
@@ -178,23 +178,22 @@ def retune(model, data):
     n = data.n_samples
     nets = [net.copy() for net in model.recon_nets]
     rates = [model.config.lr_nets] * len(nets)
-
-    def view_residual(net, v):
-        return residual(forward(net, h), data.views[v], data.mask[:, v:v + 1])
+    acts = [activations(net, h) for net in nets]  # each net's activations on h
+    res = residuals(nets, h, data.views, data.mask, acts)
 
     for _ in range(model.config.retune_epochs):
         for v, net in enumerate(nets):
             if rates[v] < 1e-15:
                 continue
-            r = view_residual(net, v)
-            before = squared_error([r]) / n + l2_penalty(net)
+            before = squared_error([res[v]]) / n + l2_penalty(net)
             while rates[v] >= 1e-15:
-                # every attempt starts from a copy of net, whose residual is r
+                # every attempt starts from a copy of net, so acts[v] are its activations
                 candidate = net.copy()
-                sgd_step(candidate, backward(candidate, h, (2.0 / n) * r), rates[v])
-                after = squared_error([view_residual(candidate, v)]) / n + l2_penalty(candidate)
-                if after <= before + 1e-9:
-                    nets[v] = candidate
+                sgd_step(candidate, backward(candidate, h, (2.0 / n) * res[v], acts[v]), rates[v])
+                cand_acts = activations(candidate, h)
+                r = residual(cand_acts[-1], data.views[v], data.mask[:, v:v + 1])
+                if squared_error([r]) / n + l2_penalty(candidate) <= before + 1e-9:
+                    nets[v], acts[v], res[v] = candidate, cand_acts, r
                     break
                 rates[v] /= 2.0
     return replace(model, retuned_nets=nets)
@@ -217,12 +216,14 @@ def _infer_batch(model, views, mask, iters=None, lr=None):
     iters = iters if iters is not None else cfg.infer_iters
     lr = lr if lr is not None else cfg.infer_lr if cfg.infer_lr is not None else cfg.lr_latent
     h = np.zeros((views[0].shape[0], nets[0].input_dim))
-    res = residuals(nets, h, views, mask)
+    acts = [activations(net, h) for net in nets]
+    res = residuals(nets, h, views, mask, acts)
     best_h = h.copy()
     best_loss = sum((r ** 2).sum(axis=1) for r in res)
     for _ in range(iters):
-        h = h - lr * latent_pullback(nets, h, [2.0 * r for r in res])
-        res = residuals(nets, h, views, mask)
+        h = h - lr * latent_pullback(nets, h, [2.0 * r for r in res], acts)
+        acts = [activations(net, h) for net in nets]
+        res = residuals(nets, h, views, mask, acts)
         loss = sum((r ** 2).sum(axis=1) for r in res)
         better = loss < best_loss
         best_h[better] = h[better]

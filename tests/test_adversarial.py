@@ -17,8 +17,8 @@ from pmvl.adversarial import (
     train_unsupervised,
 )
 from pmvl.data import MissingSpec, MultiViewDataset, apply_missing_pattern, synth_dataset
-from pmvl.errors import ConfigurationError, InputError, TrainingError
-from pmvl.latent import LatentTable, reconstruction_loss
+from pmvl.errors import ConfigurationError, DimensionError, InputError, TrainingError
+from pmvl.latent import LatentTable, init_latent_model, reconstruction_loss
 from pmvl.metrics import evaluate_clustering, nrmse
 from pmvl.nets import SIGMOID_ALL, SIGMOID_HIDDEN, DenseNet, backward, init_net, sgd_step
 
@@ -313,6 +313,47 @@ def test_complete_data_makes_adversary_inert():
     assert np.array_equal(with_adv.latent.H, without.latent.H)
 
 
+def reference_training(data, config):
+    """train_unsupervised's epochs out of public calls that evaluate every net afresh."""
+    latent, gens, rng = init_latent_model(data, config)
+    discs = [init_net([d, *reversed(config.hidden_dims), 1], activation=SIGMOID_ALL, rng=rng)
+             for d in data.view_dims]
+    model = AdversarialModel(latent, gens, discs, config)
+    for _ in range(config.epochs):
+        fills = generator_fills(model, data)
+        for _ in range(config.d_steps):
+            for disc, bundle in zip(discs, discriminator_gradients(model, data, fills)):
+                if bundle is not None:
+                    sgd_step(disc, bundle.scale(-1.0), config.lr)
+        model.d_trace.append(adversarial_loss(model, data))
+        for v, u in enumerate(combined_upstreams(model, data)):
+            sgd_step(gens[v], backward(gens[v], latent.H, u), config.lr)
+        model.g_trace.append(config.adv_weight * adversarial_loss(model, data)
+                             + reconstruction_loss(gens, latent, data))
+        g = np.zeros_like(latent.H)
+        for gen, u in zip(gens, combined_upstreams(model, data)):
+            g += backward(gen, latent.H, u).d_input
+        latent.H -= config.lr * (data.n_samples * g)
+        model.rec_trace.append(reconstruction_loss(gens, latent, data))
+    return model
+
+
+@pytest.mark.parametrize("eta,adv_weight,d_steps",
+                         [(0.4, 0.1, 1), (0.4, 0.1, 3), (0.4, 0.0, 1), (0.4, 0.0, 3), (0.0, 1.0, 2)])
+def test_training_is_byte_equal_to_the_reference_loop(eta, adv_weight, d_steps):
+    data = synth_dataset(30, 2, 4, [6, 5], seed=9, noise_scale=0.05)
+    if eta:
+        data = apply_missing_pattern(data, MissingSpec(eta, seed=9))
+    config = small_gan(epochs=8, adv_weight=adv_weight, d_steps=d_steps)
+    got, want = train_unsupervised(data, config), reference_training(data, config)
+    for trace in ("d_trace", "g_trace", "rec_trace"):
+        assert np.array(getattr(got, trace)).tobytes() == np.array(getattr(want, trace)).tobytes()
+    assert got.latent.H.tobytes() == want.latent.H.tobytes()
+    for a, b in zip(got.generators + got.discriminators, want.generators + want.discriminators):
+        for pa, pb in zip(a.weights + a.biases, b.weights + b.biases):
+            assert pa.tobytes() == pb.tobytes()
+
+
 def test_train_divergence_names_the_phase():
     data = apply_missing_pattern(
         synth_dataset(30, 2, 4, [6, 5], seed=4, noise_scale=0.05),
@@ -370,6 +411,14 @@ def test_impute_row_count_mismatch_rejected():
     truth, masked, model = trained_pair()
     with pytest.raises(InputError):
         impute(model, masked.take(np.arange(10)))
+
+
+@pytest.mark.parametrize("dims,match", [([7, 5], "view 0 is 6 wide"), ([6, 5, 4], "2 views")])
+def test_impute_rejects_data_with_other_views(dims, match):
+    truth, masked, model = trained_pair()
+    data = synth_dataset(masked.n_samples, 2, 4, dims, seed=5)
+    with pytest.raises(DimensionError, match=match):
+        impute(model, data)
 
 
 def test_trained_latents_shape_and_clustering_signal():

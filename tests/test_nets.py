@@ -9,6 +9,7 @@ from pmvl.nets import (
     SIGMOID_HIDDEN,
     DenseNet,
     GradientBundle,
+    activations,
     backward,
     forward,
     init_net,
@@ -207,6 +208,24 @@ def test_backward_gradients_sum_over_batch():
         expected = row0.d_weights[li] + row1.d_weights[li] - net.l2_coefficient * net.weights[li]
         assert np.allclose(full.d_weights[li], expected, atol=1e-12)
         assert np.allclose(full.d_biases[li], row0.d_biases[li] + row1.d_biases[li], atol=1e-12)
+
+
+@pytest.mark.parametrize("activation", [SIGMOID_HIDDEN, SIGMOID_ALL])
+@pytest.mark.parametrize("dims", [[3, 2], [3, 5, 2], [4, 6, 5, 3]])
+@pytest.mark.parametrize("rows", [None, 1, 7])
+def test_backward_through_given_activations_is_byte_equal(activation, dims, rows):
+    # rows=None is a 1-D input row, which both paths promote to a 1-row batch
+    rng = np.random.default_rng(13)
+    net = init_net(dims, activation=activation, l2_coefficient=0.01, rng=rng)
+    x = rng.normal(size=dims[0] if rows is None else (rows, dims[0]))
+    up = rng.normal(size=(1 if rows is None else rows, dims[-1]))
+    acts = activations(net, x)
+    assert len(acts) == len(dims)
+    assert_same_bytes(forward(net, x), acts[-1])
+    want, got = backward(net, x, up), backward(net, x, up, acts)
+    for a, b in zip(want.d_weights + want.d_biases, got.d_weights + got.d_biases):
+        assert_same_bytes(b, a)
+    assert_same_bytes(got.d_input, want.d_input)
 
 
 def test_init_net_bounds_and_determinism():

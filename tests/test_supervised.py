@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,15 @@ from pmvl.data import (
     synth_dataset,
 )
 from pmvl.errors import ConfigurationError, InputError, TrainingError
-from pmvl.latent import LatentTable, reconstruction_loss
-from pmvl.nets import SIGMOID_HIDDEN, DenseNet, forward
+from pmvl.latent import (
+    LatentTable,
+    latent_pullback,
+    reconstruction_loss,
+    residual,
+    residuals,
+    squared_error,
+)
+from pmvl.nets import SIGMOID_HIDDEN, DenseNet, backward, forward, l2_penalty, sgd_step
 from pmvl.supervised import (
     SupervisedModel,
     TrainConfig,
@@ -288,6 +297,46 @@ def test_retune_leaves_latents_and_centroids_alone():
     assert np.array_equal(tuned.centroids, c0)
 
 
+def reference_retune(model, data):
+    """retune's loop with every net evaluated afresh; also returns the rejected attempts."""
+    h, n = model.latent.H, data.n_samples
+    nets = [net.copy() for net in model.recon_nets]
+    rates = [model.config.lr_nets] * len(nets)
+    rejected = 0
+
+    def loss(net, v):
+        r = residual(forward(net, h), data.views[v], data.mask[:, v:v + 1])
+        return r, squared_error([r]) / n + l2_penalty(net)
+
+    for _ in range(model.config.retune_epochs):
+        for v in range(len(nets)):
+            if rates[v] < 1e-15:
+                continue
+            r, before = loss(nets[v], v)
+            while rates[v] >= 1e-15:
+                candidate = nets[v].copy()
+                sgd_step(candidate, backward(candidate, h, (2.0 / n) * r), rates[v])
+                if loss(candidate, v)[1] <= before + 1e-9:
+                    nets[v] = candidate
+                    break
+                rates[v] /= 2.0
+                rejected += 1
+    return nets, rejected
+
+
+@pytest.mark.parametrize("lr_nets", [0.05, 20.0])
+def test_retune_is_byte_equal_to_the_reference_loop(lr_nets):
+    data = apply_missing_pattern(synth_dataset(30, 2, 4, [6, 5], seed=11, noise_scale=0.05),
+                                 MissingSpec(0.3, seed=11))
+    model = train(data, small_config(epochs=10, retune_epochs=15))
+    model = replace(model, config=replace(model.config, lr_nets=lr_nets))
+    want, rejected = reference_retune(model, data)
+    assert lr_nets < 1 or rejected > 0  # the large rate exercises rollback and halving
+    for a, b in zip(retune(model, data).retuned_nets, want):
+        for pa, pb in zip(a.weights + a.biases, b.weights + b.biases):
+            assert pa.tobytes() == pb.tobytes()
+
+
 # ------------------------------------------------------ latent inference
 
 def make_identity_model(d, retuned=True):
@@ -342,6 +391,24 @@ def test_infer_latents_matches_per_sample_calls():
             iters=40,
         )
         assert np.allclose(one, batch[i], atol=1e-12)
+
+
+def test_infer_latents_is_byte_equal_to_the_reference_loop():
+    data = apply_missing_pattern(synth_dataset(25, 2, 4, [6, 5], seed=12, noise_scale=0.05),
+                                 MissingSpec(0.4, seed=12))
+    model = retune(train(data, small_config(epochs=15, retune_epochs=5)), data)
+    nets, lr = model.retuned_nets, model.config.lr_latent
+    h = np.zeros((data.n_samples, model.config.latent_dim))
+    res = residuals(nets, h, data.views, data.mask)
+    best_h, best_loss = h.copy(), sum((r ** 2).sum(axis=1) for r in res)
+    for _ in range(30):
+        h = h - lr * latent_pullback(nets, h, [2.0 * r for r in res])
+        res = residuals(nets, h, data.views, data.mask)
+        loss = sum((r ** 2).sum(axis=1) for r in res)
+        better = loss < best_loss
+        best_h[better] = h[better]
+        best_loss[better] = loss[better]
+    assert infer_latents(model, data, iters=30).tobytes() == best_h.tobytes()
 
 
 def test_infer_latents_rejects_empty_row():
