@@ -9,14 +9,15 @@ filled views (nearest centroid or kNN) closes the loop for comparisons.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import MultiViewDataset
-from .errors import ConfigurationError, InputError
-from .metrics import classification_report
+from .errors import ConfigurationError, InputError, check_number
+from .metrics import classification_report, squared_distances
 
 GLOBAL_MEAN = "global_mean"
 CLASS_MEAN = "class_mean"
@@ -36,10 +37,15 @@ class SvdParams:
     iters: int = 100
 
     def __post_init__(self):
-        if self.rank is not None and self.rank < 1:
-            raise ConfigurationError(f"rank must be >= 1, got {self.rank}")
-        if self.shrinkage is not None and self.shrinkage < 0:
-            raise ConfigurationError(f"shrinkage must be >= 0, got {self.shrinkage}")
+        if self.rank is not None:
+            check_number("rank", self.rank, numbers.Integral)
+            if self.rank < 1:
+                raise ConfigurationError(f"rank must be >= 1, got {self.rank}")
+        if self.shrinkage is not None:
+            check_number("shrinkage", self.shrinkage, numbers.Real)
+            if self.shrinkage < 0:
+                raise ConfigurationError(f"shrinkage must be >= 0, got {self.shrinkage}")
+        check_number("iters", self.iters, numbers.Integral)
         if self.iters < 1:
             raise ConfigurationError(f"iters must be >= 1, got {self.iters}")
 
@@ -206,14 +212,14 @@ def concat_classify(train_data, test_data, rule="nearest_centroid", k=1):
         centroids = np.stack(
             [x_train[y_train == c].mean(axis=0) for c in range(train_data.n_classes)]
         )
-        d2 = ((x_test[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        d2 = squared_distances(x_test, centroids)
         preds = d2.argmin(axis=1)
     elif rule == "knn":
         if k > x_train.shape[0]:
             raise ConfigurationError(f"k={k} exceeds train size {x_train.shape[0]}")
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
-        d2 = ((x_test[:, None, :] - x_train[None, :, :]) ** 2).sum(axis=2)
+        d2 = squared_distances(x_test, x_train)
         nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
         votes = y_train[nearest]
         preds = np.empty(x_test.shape[0], dtype=np.int64)

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the JSON reader that raises them."""
+"""Exception types shared across the package, and the readers and checks that raise them."""
 
 import json
+import math
+import numbers
 from pathlib import Path
 
 
@@ -41,3 +43,13 @@ def read_json_object(path, error):
     if not isinstance(value, dict):
         raise error(f"{path}: expected a JSON object, got {type(value).__name__}")
     return value
+
+
+def check_number(name, value, kind):
+    """Raise ConfigurationError unless `value` is a `kind` (numbers.Integral or
+    numbers.Real) and not a bool; a float must also be finite."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")

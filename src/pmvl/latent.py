@@ -10,7 +10,6 @@ little-endian float64 arrays.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,8 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import (
-    ConfigurationError, DimensionError, InputError, PmvlError, TrainingError, read_json_object,
+    ConfigurationError, DimensionError, InputError, PmvlError, TrainingError, check_number,
+    read_json_object,
 )
 from .nets import SIGMOID_HIDDEN, backward, forward, init_net, load_net, save_net
 
@@ -69,13 +69,8 @@ class LatentConfig:
         for name, hint in get_type_hints(type(self)).items():
             value = getattr(self, name)
             kind = NUMBER_FIELDS.get(hint)
-            if kind is None or (value is None and hint == float | None):
-                continue
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if kind is numbers.Integral else "a number"
-                raise ConfigurationError(f"{name} must be {what}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value!r}")
+            if kind is not None and not (value is None and hint == float | None):
+                check_number(name, value, kind)
         for name in positive:
             value = getattr(self, name)
             if value is not None and value <= 0:

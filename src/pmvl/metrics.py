@@ -3,8 +3,8 @@
 Clustering quality follows the usual protocol for learned representations:
 run k-means, then score the partition against ground-truth labels with
 accuracy under the best one-to-one cluster/class matching (solved exactly
-as a rectangular assignment problem) and normalized mutual information
-(geometric-mean normalization, natural log).
+as a rectangular assignment problem by scipy, imported only for this) and
+normalized mutual information (geometric-mean normalization, natural log).
 
 Imputation error is a per-view normalized RMSE: root mean squared error
 over the evaluated slots divided by the spread (max - min) of the true
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ConfigurationError, InputError
 
@@ -73,6 +72,13 @@ class ClusteringReport:
         }
 
 
+def squared_distances(points, centers):
+    """(n_points, n_centers) squared distances, one centre at a time: each entry sums
+    its D terms as ((points[:, None] - centers[None]) ** 2).sum(axis=2) does, byte
+    for byte, without that broadcast's n_points x n_centers x D temporary."""
+    return np.stack([((points - c) ** 2).sum(axis=1) for c in centers], axis=1)
+
+
 def _plus_plus_seeds(points, k, rng):
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
@@ -92,7 +98,7 @@ def _lloyd(points, centers, max_iters=300):
     k = centers.shape[0]
     assign = None
     for _ in range(max_iters):
-        d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = squared_distances(points, centers)
         new_assign = d2.argmin(axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
             break
@@ -105,7 +111,7 @@ def _lloyd(points, centers, max_iters=300):
                 # re-seed a starved centroid from the point farthest from its own
                 far = int(d2[np.arange(len(assign)), assign].argmax())
                 centers[c] = points[far]
-    d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    d2 = squared_distances(points, centers)
     assign = d2.argmin(axis=1)
     inertia = float(d2[np.arange(points.shape[0]), assign].sum())
     return assign, inertia
@@ -142,6 +148,7 @@ def _contingency(a, b):
 
 def clustering_acc(assignments, labels):
     """Accuracy under the best one-to-one cluster-to-class matching."""
+    from scipy.optimize import linear_sum_assignment  # slow to import: load it only here
     table = _contingency(assignments, labels)
     rows, cols = linear_sum_assignment(table, maximize=True)
     return float(table[rows, cols].sum()) / table.sum()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,20 @@ def test_concat_classify_validates():
         concat_classify(data, data, rule="knn", k=99)
     with pytest.raises(ConfigurationError):
         concat_classify(data, data, rule="mystery")
+
+
+@pytest.mark.parametrize("field, value, words", [
+    ("rank", 2.5, "an integer"), ("rank", True, "an integer"), ("rank", "2", "an integer"),
+    ("iters", 2.5, "an integer"), ("iters", True, "an integer"), ("iters", None, "an integer"),
+    ("shrinkage", math.nan, "finite"), ("shrinkage", math.inf, "finite"),
+    ("shrinkage", -math.inf, "finite"), ("shrinkage", True, "a number"),
+    ("shrinkage", "0.1", "a number"),
+])
+def test_svd_params_reject_wrong_types(field, value, words):
+    with pytest.raises(ConfigurationError, match=f"{field} must be {words}"):
+        SvdParams(**{field: value})
+
+
+def test_svd_params_accept_numpy_scalars():
+    params = SvdParams(rank=np.int64(2), shrinkage=np.float64(0.5), iters=np.int32(10))
+    assert (params.rank, params.shrinkage, params.iters) == (2, 0.5, 10)

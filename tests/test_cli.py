@@ -227,13 +227,17 @@ def test_sweep_leaves_warning_filters_as_it_found_them(complete_dir, tmp_path):
     ("sweep", ["--methods", "sup", "--epochs", 0], "epochs"),
     ("sweep", ["--methods", "unsup", "--epochs", 0], "epochs"),
     ("train-sup", ["--repeats", 0], "--repeats"),
+    ("impute", ["--method", "svd", "--shrinkage", "nan"], "shrinkage must be finite"),
+    ("impute", ["--method", "svd", "--shrinkage", "inf"], "shrinkage must be finite"),
+    ("impute", ["--method", "svd", "--shrinkage", -1], "shrinkage must be >= 0"),
+    ("impute", ["--method", "svd", "--rank", 0], "rank must be >= 1"),
 ])
 def test_bad_run_setting_exits_2_naming_it(complete_dir, tmp_path, capsys, command, flags, name):
     out = tmp_path / "x"
     rc = run_cli(command, "--data", complete_dir / "dataset.json", *flags, "--out", out)
     assert rc == 2
     assert name in capsys.readouterr().err
-    assert not out.exists()  # stopped before any cell or training run
+    assert not out.exists()  # stopped before any cell, training or imputation run
 
 
 @pytest.fixture(scope="module")

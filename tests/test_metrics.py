@@ -1,8 +1,19 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import pmvl
+from pmvl import baselines, metrics
+from pmvl.baselines import concat_classify
+from pmvl.data import MultiViewDataset
 from pmvl.errors import ConfigurationError, InputError
 from pmvl.metrics import (
     classification_report,
@@ -11,7 +22,135 @@ from pmvl.metrics import (
     kmeans,
     nmi,
     nrmse,
+    squared_distances,
 )
+
+
+def broadcast_d2(points, centers):
+    """The n x k x D broadcast form the distance kernels must reproduce byte for byte."""
+    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+
+def draw_matrix(rng, rows, d, kind):
+    """Gaussian entries at a random scale, or small integers that force exact ties."""
+    if kind == "integers":
+        return rng.integers(-2, 3, size=(rows, d)).astype(np.float64)
+    return rng.normal(size=(rows, d)) * 10.0 ** rng.uniform(-3, 3)
+
+
+# D < 8 sums without unrolling, 8..128 in one pairwise block, > 128 across blocks
+DIMS = st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 300))
+KINDS = st.sampled_from(["normal", "integers"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), k=st.integers(1, 40), d=DIMS, kind=KINDS,
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, k=1, d=1, kind="normal", seed=0)
+@example(n=1, k=30, d=5, kind="normal", seed=1)
+@example(n=30, k=1, d=64, kind="normal", seed=2)
+@example(n=12, k=28, d=240, kind="normal", seed=3)
+@example(n=40, k=3, d=48, kind="integers", seed=4)
+def test_squared_distances_byte_equal_to_broadcast(n, k, d, kind, seed):
+    rng = np.random.default_rng(seed)
+    points, centers = draw_matrix(rng, n, d, kind), draw_matrix(rng, k, d, kind)
+    got = squared_distances(points, centers)
+    assert got.shape == (n, k)
+    assert got.tobytes() == broadcast_d2(points, centers).tobytes()
+
+
+def reference_kmeans(points, k, seed, restarts):
+    """kmeans as written with the broadcast distance tensor."""
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(restarts):
+        centers = metrics._plus_plus_seeds(points, k, rng)
+        assign = None
+        for _ in range(300):
+            d2 = broadcast_d2(points, centers)
+            new_assign = d2.argmin(axis=1)
+            if assign is not None and np.array_equal(new_assign, assign):
+                break
+            assign = new_assign
+            for c in range(k):
+                members = assign == c
+                if members.any():
+                    centers[c] = points[members].mean(axis=0)
+                else:
+                    far = int(d2[np.arange(len(assign)), assign].argmax())
+                    centers[c] = points[far]
+        d2 = broadcast_d2(points, centers)
+        assign = d2.argmin(axis=1)
+        inertia = float(d2[np.arange(points.shape[0]), assign].sum())
+        if best is None or inertia < best[1]:
+            best = (assign, inertia)
+    return best
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 60), k=st.integers(1, 6), d=DIMS, kind=KINDS,
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, k=1, d=3, kind="normal", seed=0)
+@example(n=50, k=4, d=240, kind="normal", seed=1)
+@example(n=30, k=6, d=2, kind="integers", seed=2)
+def test_kmeans_equals_broadcast_reference(n, k, d, kind, seed):
+    k = min(k, n)
+    points = draw_matrix(np.random.default_rng(seed), n, d, kind)
+    rep = kmeans(points, k, seed=seed % 1000, restarts=3)
+    assign, inertia = reference_kmeans(points, k, seed % 1000, 3)
+    assert np.array_equal(rep.assignments, assign)
+    assert np.float64(rep.inertia).tobytes() == np.float64(inertia).tobytes()
+
+
+def reference_predictions(x_train, y_train, x_test, n_classes, rule, k):
+    """concat_classify's predictions as written with the broadcast distance tensor."""
+    if rule == "nearest_centroid":
+        centroids = np.stack([x_train[y_train == c].mean(axis=0) for c in range(n_classes)])
+        return broadcast_d2(x_test, centroids).argmin(axis=1)
+    nearest = np.argsort(broadcast_d2(x_test, x_train), axis=1, kind="stable")[:, :k]
+    return np.array([np.bincount(v, minlength=n_classes).argmax() for v in y_train[nearest]])
+
+
+def complete_dataset(x, classes):
+    labels = np.arange(x.shape[0]) % classes
+    views = np.array_split(x, min(2, x.shape[1]), axis=1)
+    return MultiViewDataset(views, np.ones((x.shape[0], len(views))), labels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_train=st.integers(1, 40), n_test=st.integers(1, 40), classes=st.integers(1, 4),
+       d=DIMS, kind=KINDS, rule=st.sampled_from(["nearest_centroid", "knn"]),
+       k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+@example(n_train=1, n_test=1, classes=1, d=1, kind="normal", rule="knn", k=1, seed=0)
+@example(n_train=28, n_test=12, classes=3, d=240, kind="normal", rule="knn", k=5, seed=1)
+@example(n_train=30, n_test=9, classes=3, d=20, kind="integers", rule="knn", k=5, seed=2)
+@example(n_train=21, n_test=1, classes=3, d=64, kind="normal", rule="nearest_centroid", k=1,
+         seed=3)
+def test_concat_classify_equals_broadcast_reference(n_train, n_test, classes, d, kind, rule,
+                                                    k, seed):
+    classes, k = min(classes, n_train), min(k, n_train)
+    rng = np.random.default_rng(seed)
+    train = complete_dataset(draw_matrix(rng, n_train, d, kind), classes)
+    test = complete_dataset(draw_matrix(rng, n_test, d, kind), min(classes, n_test))
+    # the report hides the predictions; capture them where they are scored
+    with mock.patch.object(baselines, "classification_report", lambda preds, labels: preds):
+        got = concat_classify(train, test, rule=rule, k=k)
+    want = reference_predictions(np.hstack(train.views), train.labels, np.hstack(test.views),
+                                 classes, rule, k)
+    assert np.array_equal(got, want)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    probe = (
+        "import sys\n"
+        "import pmvl, pmvl.cli\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "print(pmvl.clustering_acc([0, 0, 1, 1, 2], [1, 1, 0, 0, 0]))\n"
+    )
+    src = Path(pmvl.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.stdout.split() == ["False", str(4 / 5)]
 
 
 def test_classification_report_counts():
