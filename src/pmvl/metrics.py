@@ -2,8 +2,8 @@
 
 Clustering quality follows the usual protocol for learned representations:
 run k-means, then score the partition against ground-truth labels with
-accuracy under the best one-to-one cluster/class matching (solved exactly
-as a rectangular assignment problem by scipy, imported only for this) and
+accuracy under the best one-to-one cluster/class matching (solved exactly,
+in integers, by the Hungarian method on the contingency table) and
 normalized mutual information (geometric-mean normalization, natural log).
 
 Imputation error is a per-view normalized RMSE: root mean squared error
@@ -13,11 +13,12 @@ values on those slots, averaged across views that have anything to score.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, check_number
 
 
 @dataclass
@@ -120,13 +121,17 @@ def _lloyd(points, centers, max_iters=300):
 def kmeans(points, k, seed=0, restarts=10):
     """Best-of-restarts Lloyd iterations with k-means++ seeding."""
     points = np.asarray(points, dtype=np.float64)
-    if k <= 0:
-        raise ConfigurationError(f"k must be positive, got {k}")
+    for name, value in (("k", k), ("restarts", restarts)):
+        check_number(name, value, numbers.Integral)
+        if value <= 0:
+            raise ConfigurationError(f"{name} must be positive, got {value}")
     if points.ndim != 2 or k > points.shape[0]:
         raise InputError(f"need a 2-D matrix with at least k={k} rows")
+    if not np.isfinite(points).all():
+        raise InputError("points must be finite (no NaN or inf)")
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(max(restarts, 1)):
+    for _ in range(restarts):
         centers = _plus_plus_seeds(points, k, rng)
         assign, inertia = _lloyd(points, centers)
         if best is None or inertia < best[1]:
@@ -139,6 +144,8 @@ def _contingency(a, b):
     b = np.asarray(b, dtype=np.int64)
     if a.shape != b.shape or a.ndim != 1:
         raise InputError("partitions must be equal-length vectors")
+    if a.size == 0:
+        raise InputError("partitions must not be empty")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
     table = np.zeros((ai.max() + 1, bi.max() + 1), dtype=np.int64)
@@ -146,12 +153,47 @@ def _contingency(a, b):
     return table
 
 
+def max_matching_total(table):
+    """Largest sum of non-negative integer `table` entries with at most one taken per
+    row and per column. Kuhn-Munkres with row/column potentials on the zero-padded
+    square table, minimising -table, O(k^3); all in int64, so the total is exact."""
+    n = max(table.shape)
+    cost = np.zeros((n + 1, n + 1), dtype=np.int64)  # row and column 0 are sentinels
+    cost[1:table.shape[0] + 1, 1:table.shape[1] + 1] = -table
+    u = np.zeros(n + 1, dtype=np.int64)
+    v = np.zeros(n + 1, dtype=np.int64)
+    row_of = np.zeros(n + 1, dtype=np.int64)  # row matched to each column, 0 = none
+    for i in range(1, n + 1):
+        # grow a tree of tight edges from row i until it reaches a free column
+        row_of[0] = i
+        j0 = 0
+        slack = np.full(n + 1, np.iinfo(np.int64).max)
+        via = np.zeros(n + 1, dtype=np.int64)  # column preceding each one on its path
+        used = np.zeros(n + 1, dtype=bool)
+        while row_of[j0]:
+            used[j0] = True
+            free = ~used
+            i0 = row_of[j0]
+            reduced = cost[i0] - u[i0] - v
+            better = free & (reduced < slack)
+            slack[better] = reduced[better]
+            via[better] = j0
+            j1 = int(np.flatnonzero(free)[slack[free].argmin()])
+            delta = slack[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            slack[free] -= delta
+            j0 = j1
+        while j0:  # flip the augmenting path
+            row_of[j0] = row_of[via[j0]]
+            j0 = via[j0]
+    return -int(cost[row_of[1:], np.arange(1, n + 1)].sum())
+
+
 def clustering_acc(assignments, labels):
     """Accuracy under the best one-to-one cluster-to-class matching."""
-    from scipy.optimize import linear_sum_assignment  # slow to import: load it only here
     table = _contingency(assignments, labels)
-    rows, cols = linear_sum_assignment(table, maximize=True)
-    return float(table[rows, cols].sum()) / table.sum()
+    return float(max_matching_total(table)) / table.sum()
 
 
 def nmi(assignments, labels):

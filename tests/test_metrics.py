@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import pmvl
 from pmvl import baselines, metrics
@@ -20,6 +21,7 @@ from pmvl.metrics import (
     clustering_acc,
     evaluate_clustering,
     kmeans,
+    max_matching_total,
     nmi,
     nrmse,
     squared_distances,
@@ -144,13 +146,16 @@ def test_import_leaves_scipy_optimize_unloaded():
     probe = (
         "import sys\n"
         "import pmvl, pmvl.cli\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "scipy = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "print('scipy.optimize' in sys.modules, scipy())\n"
         "print(pmvl.clustering_acc([0, 0, 1, 1, 2], [1, 1, 0, 0, 0]))\n"
+        "pmvl.evaluate_clustering([[0.0], [0.1], [5.0], [5.1]], [0, 0, 1, 1])\n"
+        "print(scipy())\n"
     )
     src = Path(pmvl.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           timeout=120, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
-    assert done.stdout.split() == ["False", str(4 / 5)]
+    assert done.stdout.split() == ["False", "[]", str(4 / 5), "[]"]
 
 
 def test_classification_report_counts():
@@ -197,6 +202,39 @@ def test_kmeans_deterministic_and_validates():
         kmeans(pts, 0)
     with pytest.raises(InputError):
         kmeans(pts, 31)
+
+
+@pytest.mark.parametrize("run", [kmeans, evaluate_clustering])
+@pytest.mark.parametrize("kwargs, message", [
+    ({"k": 2.5}, "k must be an integer"),
+    ({"k": True}, "k must be an integer"),
+    ({"restarts": 2.5}, "restarts must be an integer"),
+    ({"restarts": False}, "restarts must be an integer"),
+    ({"restarts": 0}, "restarts must be positive"),
+    ({"restarts": -3}, "restarts must be positive"),
+])
+def test_clustering_rejects_bad_k_and_restarts(run, kwargs, message):
+    pts = np.random.default_rng(3).normal(size=(10, 2))
+    args = (pts, np.arange(10) % 2) if run is evaluate_clustering else (pts,)
+    with pytest.raises(ConfigurationError, match=message):
+        run(*args, **{"k": 2, **kwargs})
+
+
+@pytest.mark.parametrize("run", [kmeans, evaluate_clustering])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_clustering_rejects_non_finite_points(run, bad):
+    pts = np.random.default_rng(4).normal(size=(10, 2))
+    pts[3, 1] = bad
+    args = (pts, np.arange(10) % 2) if run is evaluate_clustering else (pts, 2)
+    with pytest.raises(InputError, match="finite"):
+        run(*args)
+
+
+def test_kmeans_accepts_numpy_integers():
+    pts = np.random.default_rng(5).normal(size=(10, 2))
+    a = kmeans(pts, np.int64(3), seed=1, restarts=np.int32(2))
+    b = kmeans(pts, 3, seed=1, restarts=2)
+    assert np.array_equal(a.assignments, b.assignments) and a.inertia == b.inertia
 
 
 def test_kmeans_separated_blobs_recovered():
@@ -250,6 +288,39 @@ def test_clustering_acc_matches_brute_force_fuzz():
         fast = clustering_acc(assignments, labels)
         slow = brute_force_acc(assignments, labels)
         assert fast == pytest.approx(slow), (assignments, labels)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(1, 12), cols=st.integers(1, 12),
+       top=st.sampled_from([0, 1, 3, 50, 10**6]), tie=st.sampled_from([None, "rows", "cols"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(rows=1, cols=1, top=0, tie=None, seed=0)
+@example(rows=1, cols=12, top=10**6, tie=None, seed=1)
+@example(rows=12, cols=12, top=0, tie=None, seed=2)
+@example(rows=12, cols=12, top=10**6, tie="rows", seed=3)
+@example(rows=9, cols=4, top=3, tie="cols", seed=4)
+def test_max_matching_total_equals_scipy(rows, cols, top, tie, seed):
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, top + 1, size=(rows, cols))
+    if tie == "rows":  # repeated rows make many matchings tie for the best total
+        table = table[rng.integers(0, rows, size=rows)]
+    elif tie == "cols":
+        table = table[:, rng.integers(0, cols, size=cols)]
+    r, c = linear_sum_assignment(table, maximize=True)
+    assert max_matching_total(table) == table[r, c].sum()
+    if 0 < table.sum() <= 10**5:
+        # partitions whose contingency is the table, minus its empty rows and columns
+        cells = np.repeat(np.arange(rows * cols), table.ravel())
+        got = clustering_acc(cells // cols, cells % cols)
+        want = float(table[r, c].sum()) / table.sum()
+        assert type(got) is type(want) and got.tobytes() == want.tobytes()
+
+
+def test_empty_partitions_rejected():
+    with pytest.raises(InputError, match="empty"):
+        clustering_acc([], [])
+    with pytest.raises(InputError, match="empty"):
+        nmi([], [])
 
 
 def test_nmi_identical_and_relabeled():
