@@ -9,6 +9,7 @@ views without labels. Baseline imputers and clustering/imputation metrics
 round out the toolkit; the `pmvl` command drives it all from the shell.
 """
 
+from . import _blas  # first: BLAS threads are fixed when numpy loads
 from .adversarial import (
     AdversarialModel,
     GanConfig,

@@ -125,6 +125,9 @@ def kmeans(points, k, seed=0, restarts=10):
         check_number(name, value, numbers.Integral)
         if value <= 0:
             raise ConfigurationError(f"{name} must be positive, got {value}")
+    check_number("seed", seed, numbers.Integral)
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     if points.ndim != 2 or k > points.shape[0]:
         raise InputError(f"need a 2-D matrix with at least k={k} rows")
     if not np.isfinite(points).all():
@@ -227,6 +230,8 @@ def nmi(assignments, labels):
 def evaluate_clustering(points, labels, k=None, seed=0, restarts=10):
     """k-means plus ACC and NMI against the given labels."""
     labels = np.asarray(labels, dtype=np.int64)
+    if labels.size == 0:
+        raise InputError("labels must not be empty")
     if k is None:
         k = int(labels.max()) + 1
     report = kmeans(points, k, seed=seed, restarts=restarts)

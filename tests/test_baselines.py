@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from pmvl import _blas, baselines
 from pmvl.baselines import (
     CLASS_MEAN,
     GLOBAL_MEAN,
@@ -112,6 +118,42 @@ def test_soft_impute_objective_never_rises():
         assert (diffs <= 1e-9).all(), (rank, tau, diffs.max())
 
 
+def reference_soft_impute(x, observed, tau, rank, iters, tol=1e-6):
+    """The soft-impute iteration written with whole-array temporaries."""
+    col_means = np.where(observed, x, 0.0).sum(axis=0) / np.maximum(observed.sum(axis=0), 1)
+    filled = np.where(observed, x, col_means)
+    trace = []
+    for _ in range(iters):
+        u, s, vt = np.linalg.svd(filled, full_matrices=False)
+        s_shrunk = np.maximum(s - tau, 0.0)
+        if rank is not None:
+            s_shrunk[rank:] = 0.0
+        recon = (u * s_shrunk) @ vt
+        err = float(((recon - x)[observed] ** 2).sum())
+        trace.append(0.5 * err + tau * float(s_shrunk.sum()))
+        new_fill = np.where(observed, x, recon)
+        delta = float(np.linalg.norm(new_fill - filled))
+        filled = new_fill
+        if delta < tol:
+            break
+    return filled, trace
+
+
+@pytest.mark.parametrize("rank, tau, rows_only", [
+    (None, 0.0, False), (2, 0.0, True), (3, 0.5, False), (None, 1.0, True),
+])
+def test_soft_impute_equals_reference_bytes(rank, tau, rows_only):
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(40, 9)) @ np.diag(rng.uniform(0.2, 3.0, size=9))
+    observed = rng.random(x.shape) >= 0.3
+    if rows_only:
+        observed = np.repeat(observed[:, :1], x.shape[1], axis=1)
+    got, got_trace = soft_impute_matrix(x, observed, SvdParams(rank=rank, shrinkage=tau, iters=80))
+    want, want_trace = reference_soft_impute(x, observed, tau, rank, 80)
+    assert got.tobytes() == want.tobytes()
+    assert np.array(got_trace).tobytes() == np.array(want_trace).tobytes()
+
+
 def test_soft_impute_grid_pick_runs():
     rng = np.random.default_rng(5)
     x = np.outer(rng.normal(size=30), rng.normal(size=6)) + 0.01 * rng.normal(size=(30, 6))
@@ -134,6 +176,147 @@ def test_svd_imputer_completes_and_is_deterministic():
     for va, vb in zip(a.views, b.views):
         assert np.isfinite(va).all()
         assert np.array_equal(va, vb)
+
+
+def serial_impute_svd(data, params=None):
+    """Reference: every view fitted in order on the calling thread."""
+    params = params or SvdParams()
+    out = data.copy()
+    for v in range(out.n_views):
+        obs_rows = out.mask[:, v].astype(bool)
+        if obs_rows.all():
+            continue
+        entry_mask = np.repeat(obs_rows[:, None], data.views[v].shape[1], axis=1)
+        if params.rank is None:
+            capped = SvdParams(
+                rank=max(1, min(int(obs_rows.sum()) - 1, data.views[v].shape[1] - 1)),
+                shrinkage=params.shrinkage,
+                iters=params.iters,
+            )
+        else:
+            capped = params
+        out.views[v], _ = baselines.soft_impute_matrix(data.views[v], entry_mask, capped)
+        out.views[v][obs_rows] = data.views[v][obs_rows]
+    out.mask[:] = 1
+    return out
+
+
+def recording_soft_impute(calls):
+    """soft_impute_matrix that appends (width, thread, live threads, trace) per call."""
+    real = baselines.soft_impute_matrix
+
+    def run(x, observed, params, tol=1e-6):
+        live = threading.active_count()
+        completed, trace = real(x, observed, params, tol)
+        calls.append((x.shape[1], threading.current_thread(), live, trace))
+        return completed, trace
+
+    return run
+
+
+def test_impute_svd_threaded_equals_serial_loop_bytes():
+    # with BLAS on one thread, the two wide views take the threaded path;
+    # the narrow one stays on the calling thread
+    data = synth_dataset(120, classes=3, latent_dim=4, view_dims=[48, 40, 8], seed=3)
+    masked = apply_missing_pattern(data, MissingSpec(0.5, seed=3))
+    fits = {"threaded": [], "serial": []}
+    with mock.patch.object(_blas, "ONE_THREAD", True), \
+            mock.patch.object(baselines, "soft_impute_matrix", recording_soft_impute(fits["threaded"])):
+        got = impute_baseline(masked, SVD)
+    with mock.patch.object(baselines, "soft_impute_matrix", recording_soft_impute(fits["serial"])):
+        want = serial_impute_svd(masked)
+    assert (got.mask == 1).all() and got.view_names == want.view_names
+    assert np.array_equal(got.labels, want.labels)
+    for a, b in zip(got.views, want.views):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    main = threading.main_thread()
+    assert {w for w, t, _, _ in fits["threaded"] if t is not main} == {48}
+    assert all(t is main for _, t, _, _ in fits["serial"])
+    # grid trials then the final fit, per view, in the same order either way
+    for width in (48, 40, 8):
+        traces = {k: [np.array(tr).tobytes() for w, _, _, tr in calls if w == width]
+                  for k, calls in fits.items()}
+        assert len(traces["serial"]) == 4 and traces["threaded"] == traces["serial"]
+
+
+@pytest.mark.parametrize("n, dims, one_blas_thread", [
+    (300, [20, 16, 12], True), (120, [48, 20, 8], True), (120, [48, 40, 8], False),
+])
+def test_impute_svd_serial_paths_start_no_thread(n, dims, one_blas_thread):
+    # fewer than two views WIDE_VIEW_COLUMNS wide, or a BLAS that runs more
+    # threads per call, keep the loop
+    masked = apply_missing_pattern(
+        synth_dataset(n, classes=3, latent_dim=4, view_dims=dims, seed=1), MissingSpec(0.3, seed=1))
+    before = threading.active_count()
+    calls = []
+    with mock.patch.object(_blas, "ONE_THREAD", one_blas_thread), \
+            mock.patch.object(baselines, "soft_impute_matrix", recording_soft_impute(calls)):
+        impute_baseline(masked, SVD, svd_params=SvdParams(iters=5))
+    assert len(calls) == 12
+    assert all(t is threading.main_thread() and live == before for _, t, live, _ in calls)
+
+
+@pytest.mark.parametrize("preset, numpy_first, want", [
+    (None, False, "1 1 True"), ("3", False, "3 3 False"),
+    (None, True, "None None False"), ("1", True, "1 1 True"),
+])
+def test_import_sets_one_blas_thread_before_numpy_loads(preset, numpy_first, want):
+    # prints the BLAS settings as numpy starts to load, then pmvl's reading of them
+    probe = ("import os, sys\n"
+             "class Spy:\n"
+             "    def find_spec(self, name, path=None, target=None):\n"
+             "        if name == 'numpy':\n"
+             "            self.seen = [os.environ.get(k) for k in ('OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')]\n"
+             "spy = Spy()\n"
+             "sys.meta_path.insert(0, spy)\n"
+             + ("import numpy\n" if numpy_first else "") +
+             "import pmvl._blas\n"
+             "print(*spy.seen, pmvl._blas.ONE_THREAD)\n")
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(baselines.__file__))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = env["MKL_NUM_THREADS"] = preset
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, check=True, env=env)
+    assert done.stdout.strip() == want
+
+
+@pytest.mark.parametrize("dims, failing", [
+    ([48, 40, 36], (0, 2)), ([48, 40, 36], (1, 2)), ([48, 40, 36], (2,)),
+    ([40, 48, 36], (0, 1)), ([40, 48, 36], (1, 2)), ([40, 48, 36], (0, 2)),
+])
+def test_impute_svd_raises_the_serial_loops_first_error(dims, failing):
+    data = synth_dataset(60, classes=3, latent_dim=4, view_dims=dims, seed=2)
+    masked = apply_missing_pattern(data, MissingSpec(0.3, seed=2))
+    for v in failing:
+        row = int(np.flatnonzero(masked.mask[:, v])[0])
+        masked.views[v][row, v + 1] = np.inf
+    with pytest.raises(InputError) as serial:
+        serial_impute_svd(masked, SvdParams(iters=5))
+    first = failing[0]
+    assert f", {first + 1}) is inf" in str(serial.value)
+    with mock.patch.object(_blas, "ONE_THREAD", True), pytest.raises(InputError) as threaded:
+        impute_baseline(masked, SVD, svd_params=SvdParams(iters=5))
+    assert str(threaded.value) == str(serial.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_soft_impute_rejects_non_finite_observed_entry(bad):
+    data = synth_dataset(60, classes=3, latent_dim=4, view_dims=[12, 10, 8], seed=4)
+    masked = apply_missing_pattern(data, MissingSpec(0.3, seed=4))
+    row = int(np.flatnonzero(masked.mask[:, 0])[0])
+    masked.views[0][row, 3] = bad
+    with mock.patch("numpy.linalg.svd", side_effect=AssertionError("SVD ran")):
+        with pytest.raises(InputError, match=rf"observed entry \({row}, 3\) is {bad}"):
+            impute_baseline(masked, SVD)
+        with pytest.raises(InputError, match="finite observed values"):
+            soft_impute_matrix(masked.views[0], np.ones((60, 12), dtype=bool), SvdParams())
+    # a non-finite value under a masked slot is never read
+    gone = int(np.flatnonzero(masked.mask[:, 0] == 0)[0])
+    masked.views[0][row, 3] = data.views[0][row, 3]
+    masked.views[0][gone] = bad
+    out = impute_baseline(masked, SVD, svd_params=SvdParams(iters=5))
+    assert np.isfinite(out.views[0]).all()
 
 
 def test_impute_baseline_rejects_unknown_kind():

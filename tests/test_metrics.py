@@ -212,6 +212,9 @@ def test_kmeans_deterministic_and_validates():
     ({"restarts": False}, "restarts must be an integer"),
     ({"restarts": 0}, "restarts must be positive"),
     ({"restarts": -3}, "restarts must be positive"),
+    ({"seed": 2.5}, "seed must be an integer"),
+    ({"seed": None}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be >= 0"),
 ])
 def test_clustering_rejects_bad_k_and_restarts(run, kwargs, message):
     pts = np.random.default_rng(3).normal(size=(10, 2))
@@ -321,6 +324,10 @@ def test_empty_partitions_rejected():
         clustering_acc([], [])
     with pytest.raises(InputError, match="empty"):
         nmi([], [])
+    with pytest.raises(InputError, match="labels must not be empty"):
+        evaluate_clustering([], [])
+    with pytest.raises(InputError, match="labels must not be empty"):
+        evaluate_clustering(np.zeros((0, 2)), [])
 
 
 def test_nmi_identical_and_relabeled():
