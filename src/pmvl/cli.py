@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._stripes import map_striped
 from .adversarial import GanConfig, impute as gan_impute, save_gan, train_unsupervised
 from .baselines import (
     CLASS_MEAN,
@@ -179,18 +180,20 @@ def cmd_train_sup(args):
     data = load_dataset(args.data)
     merged = _settings(args, SUP_PRESETS, TrainConfig)
     out = Path(args.out)
-    accs = []
     seeds = [args.seed + r for r in range(args.repeats)]
-    first_model = None
-    for s in seeds:
+
+    def repeat(s):
         tr, te = split(data, args.train_frac, seed=s)
         if args.eta > 0:
             tr = apply_missing_pattern(tr, MissingSpec(args.eta, seed=s))
             te = apply_missing_pattern(te, MissingSpec(args.eta, seed=s + 1))
         model, report = _sup_pipeline(tr, te, TrainConfig(seed=s, **merged), not args.no_retune)
-        if first_model is None:
-            first_model = model
-        accs.append(report.accuracy)
+        # the first repeat runs in this process, so no model crosses a pipe
+        return (model if s == seeds[0] else None), report.accuracy
+
+    outcomes = map_striped(repeat, seeds)
+    first_model = outcomes[0][0]
+    accs = [acc for _, acc in outcomes]
     ckpt = save_model(first_model, out / "model")
     _write_report(out, {
         "command": "train-sup",
@@ -321,6 +324,10 @@ def _sweep_cell(data, method, eta, seed, sup_settings, gan_settings, train_frac)
     raise ConfigurationError(f"unknown sweep method '{method}'")
 
 
+def _failure_text(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
 def cmd_sweep(args):
     rates = _parse_list(args.rates, float, "rates")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
@@ -342,17 +349,21 @@ def cmd_sweep(args):
     if any(m.startswith("unsup") for m in methods):
         GanConfig(**gan_settings)
     data = load_dataset(args.data)
+    cells = list(itertools.product(methods, rates, range(args.seed, args.seed + args.repeats)))
+
+    def run_cell(cell):
+        try:
+            return _sweep_cell(data, *cell, sup_settings, gan_settings, args.train_frac)
+        except Exception as exc:  # cell failures land in failures.csv, run continues
+            return _failure_text(exc)
+
     rows = []
     failures = []
-    seeds = range(args.seed, args.seed + args.repeats)
-    for method, eta, seed in itertools.product(methods, rates, seeds):
-        try:
-            outcome = _sweep_cell(
-                data, method, eta, seed, sup_settings, gan_settings, args.train_frac)
-        except Exception as exc:  # cell failures land in failures.csv, run continues
-            failures.append((method, eta, seed, f"{type(exc).__name__}: {exc}"))
+    for cell, outcome in zip(cells, map_striped(run_cell, cells, on_lost=_failure_text)):
+        if isinstance(outcome, str):
+            failures.append((*cell, outcome))
         else:
-            rows += [(method, eta, seed, metric, value) for metric, value in outcome]
+            rows += [(*cell, metric, value) for metric, value in outcome]
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     failures.sort(key=lambda r: (r[0], r[1], r[2]))
 

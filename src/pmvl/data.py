@@ -47,9 +47,15 @@ class MultiViewDataset:
             bad = int(np.argmin(self.mask.sum(axis=1)))
             raise InputError(f"sample {bad} has no available view")
         if self.labels is not None:
-            self.labels = np.asarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (n,):
-                raise InputError(f"labels shape {self.labels.shape}, expected ({n},)")
+            labels = np.asarray(self.labels)
+            if labels.shape != (n,):
+                raise InputError(f"labels shape {labels.shape}, expected ({n},)")
+            if labels.dtype.kind == "f":
+                bad = np.flatnonzero(~np.isfinite(labels) | (labels != np.trunc(labels)))
+                if bad.size:
+                    raise InputError(
+                        f"labels must be integers; row {bad[0]} holds {labels[bad[0]]}")
+            self.labels = labels.astype(np.int64)
             if self.labels.min() < 0:
                 raise InputError("labels must be nonnegative")
             present = np.unique(self.labels)
@@ -152,25 +158,28 @@ def _read_csv(path, kind="float", has_header=False):
         raise IngestionError(f"{path}: file not found")
     rows = []
     width = None
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if has_header and lineno == 1:
-                continue
-            if not row:
-                continue
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise IngestionError(
-                    f"{path}:{lineno}: ragged row ({len(row)} cells, expected {width})"
-                )
-            try:
-                if kind == "int":
-                    rows.append([int(c) for c in row])
-                else:
-                    rows.append([float(c) for c in row])
-            except ValueError:
-                raise IngestionError(f"{path}:{lineno}: non-numeric cell") from None
+    try:
+        with open(path, newline="") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if has_header and lineno == 1:
+                    continue
+                if not row:
+                    continue
+                if width is None:
+                    width = len(row)
+                elif len(row) != width:
+                    raise IngestionError(
+                        f"{path}:{lineno}: ragged row ({len(row)} cells, expected {width})"
+                    )
+                try:
+                    if kind == "int":
+                        rows.append([int(c) for c in row])
+                    else:
+                        rows.append([float(c) for c in row])
+                except ValueError:
+                    raise IngestionError(f"{path}:{lineno}: non-numeric cell") from None
+    except (UnicodeDecodeError, csv.Error) as exc:  # bytes that are not CSV text
+        raise IngestionError(f"{path}: not readable as CSV text ({exc})") from None
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     dtype = np.int64 if kind == "int" else np.float64

@@ -34,6 +34,10 @@ class InputError(PmvlError):
     """A runtime input violates an operation's precondition."""
 
 
+class WorkerError(PmvlError):
+    """A worker process ended without returning the results of its runs."""
+
+
 def read_json_object(path, error):
     """Parse a JSON file that must hold an object; anything else raises `error` naming it."""
     try:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from pmvl import cli
+from pmvl._stripes import map_striped
 from pmvl.adversarial import (
     AdversarialModel,
     GanConfig,
@@ -126,7 +127,10 @@ def run_desk_seed(seed, eta):
 @pytest.fixture(scope="module")
 def desk_runs():
     t0 = time.time()
-    runs = {eta: [run_desk_seed(s, eta) for s in SEEDS] for eta in (0.0, 0.5)}
+    etas = (0.0, 0.5)
+    cells = list(itertools.product(etas, SEEDS))
+    done = dict(zip(cells, map_striped(lambda c: run_desk_seed(c[1], c[0]), cells)))
+    runs = {eta: [done[eta, s] for s in SEEDS] for eta in etas}
     runs["elapsed"] = time.time() - t0
     return runs
 
@@ -146,9 +150,12 @@ def gan_nrmse(seed, eta, adv_weight, d_steps):
 @pytest.fixture(scope="module")
 def imputation_runs():
     out = {}
-    for eta in (0.5, 0.3):
-        adv = [gan_nrmse(s, eta, 0.1, 8) for s in SEEDS]
-        plain = [gan_nrmse(s, eta, 0.0, 1) for s in SEEDS]
+    etas, arms = (0.5, 0.3), ((0.1, 8), (0.0, 1))  # adversarial, then plain
+    cells = list(itertools.product(etas, arms, SEEDS))
+    done = dict(zip(cells, map_striped(lambda c: gan_nrmse(c[2], c[0], *c[1]), cells)))
+    for eta in etas:
+        adv = [done[eta, arms[0], s] for s in SEEDS]
+        plain = [done[eta, arms[1], s] for s in SEEDS]
         out[eta] = {
             "gan": float(np.mean([g for g, _ in adv])),
             "plain": float(np.mean([p for p, _ in plain])),

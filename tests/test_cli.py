@@ -349,6 +349,20 @@ def test_non_numeric_list_flag_exits_2(complete_dir, tmp_path, capsys, command, 
     assert key in capsys.readouterr().err
 
 
+def test_bad_byte_in_a_view_csv_exits_2_naming_the_file(complete_dir, tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for f in complete_dir.glob("dataset*"):
+        (data / f.name).write_bytes(f.read_bytes())
+    view = data / "dataset_view0.csv"
+    raw = bytearray(view.read_bytes())
+    raw[3] = 0xFF
+    view.write_bytes(bytes(raw))
+    rc = run_cli("mask", "--data", data / "dataset.json", "--eta", 0.2, "--out", tmp_path / "x")
+    assert rc == 2
+    assert "dataset_view0.csv: not readable as CSV text" in capsys.readouterr().err
+
+
 def test_malformed_dataset_manifest_exits_2(tmp_path, capsys):
     manifest = tmp_path / "dataset.json"
     manifest.write_text(json.dumps({"views": "dataset_view0.csv"}))

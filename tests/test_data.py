@@ -40,6 +40,18 @@ def test_dataset_validation_rejects_label_gap():
         MultiViewDataset(views, np.ones((4, 1)), labels=np.array([0, 0, 2, 2]))
 
 
+@pytest.mark.parametrize("labels, bad", [([0, 1.5, 1, 0], "row 1 holds 1.5"),
+                                         ([0.0, 1.0, 0.0, np.nan], "row 3 holds nan")])
+def test_dataset_validation_rejects_non_integral_labels(labels, bad):
+    with pytest.raises(InputError, match=bad):
+        MultiViewDataset([np.zeros((4, 2))], np.ones((4, 1)), labels=labels)
+
+
+def test_dataset_validation_accepts_integral_float_labels():
+    data = MultiViewDataset([np.zeros((4, 2))], np.ones((4, 1)), labels=[0.0, 1.0, 1.0, 0.0])
+    assert data.labels.dtype == np.int64 and data.labels.tolist() == [0, 1, 1, 0]
+
+
 def test_missing_pattern_exact_count_and_rate():
     data = small_complete(n=40)
     for eta in [0.1, 0.25, 0.5]:
@@ -111,6 +123,15 @@ def test_load_csv_views_ragged_row_names_line(tmp_path):
 def test_load_csv_views_non_numeric_names_line(tmp_path):
     (tmp_path / "v0.csv").write_text("1.0,2.0\n3.0,oops\n")
     with pytest.raises(IngestionError, match=r"v0\.csv:2"):
+        load_csv_views([tmp_path / "v0.csv"])
+
+
+@pytest.mark.parametrize("raw", [b"1.0,2.0\n3.\xff,4.0\n",
+                                 b'"' + b"1.0,2.0\n" * 20000],  # a quote never closed
+                         ids=["not-utf8", "cell-over-csv-limit"])
+def test_load_csv_views_unreadable_text_names_file(tmp_path, raw):
+    (tmp_path / "v0.csv").write_bytes(raw)
+    with pytest.raises(IngestionError, match=r"v0\.csv: not readable as CSV text"):
         load_csv_views([tmp_path / "v0.csv"])
 
 
