@@ -17,7 +17,7 @@ if "numpy" not in sys.modules:
         os.environ.setdefault(name, "1")
 
 # True when numpy's BLAS started on one thread per call, set above or by the
-# process. impute_svd fits views on two threads only then: on 2 vCPUs with
-# 2 OpenBLAS threads per call, two threads took 16-17 s against 9.3-11 s
-# serial at 400x[100,80,60], as they only queue for BLAS.
+# process. impute_svd fits wide views in forked processes only then: with
+# 2 OpenBLAS threads per call on 2 vCPUs, two processes took 73-134 s against
+# 19-20 s serial for two masks of 400x[100,80,60].
 ONE_THREAD = os.environ.get("OPENBLAS_NUM_THREADS") == "1"

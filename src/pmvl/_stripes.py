@@ -12,9 +12,9 @@ data and its functions as they are, so nothing but the results is pickled:
 closures work, and so do functions a profiler has wrapped in place.
 `spawn` and `forkserver` would re-import numpy and pmvl in every child
 (~0.2 s each) and pickle the function by name. `fork` is unsafe in a process
-with live threads, and Python 3.12+ warns about it there; pmvl starts a
-thread only inside soft-impute (`baselines.impute_svd`), which joins it
-before returning, so none is alive between items.
+with live threads, and Python 3.12+ warns about it there; pmvl starts no
+thread. A child may call map_striped again, as soft-impute
+(`baselines.impute_svd`) does inside a `sweep` cell.
 """
 
 import os

@@ -10,13 +10,13 @@ filled views (nearest centroid or kNN) closes the loop for comparisons.
 from __future__ import annotations
 
 import numbers
-import threading
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _blas
+from ._stripes import map_striped
 from .data import MultiViewDataset
 from .errors import ConfigurationError, InputError, check_number
 from .metrics import classification_report, squared_distances
@@ -25,9 +25,7 @@ GLOBAL_MEAN = "global_mean"
 CLASS_MEAN = "class_mean"
 SVD = "svd"
 
-# Views at least this wide are worth a second thread: LAPACK releases the GIL
-# inside each SVD, and at these widths that outweighs the threads' contention
-# for it (see impute_svd).
+# At least two views this wide are fitted in forked stripes (see impute_svd).
 WIDE_VIEW_COLUMNS = 32
 
 
@@ -194,77 +192,50 @@ def _fit_view(x, obs_rows, params):
     return filled
 
 
-class _Call(threading.Thread):
-    """Runs fn(*args) on its own thread; result() joins it, then returns or re-raises.
-
-    A concurrent.futures executor would do the same but loads logging, which
-    costs every process that fits wide views 17 ms and 0.6 MB.
-    """
-
-    def __init__(self, fn, *args):
-        super().__init__(name="pmvl-soft-impute")
-        self._fn, self._args = fn, args
-        self._value = self._error = None
-
-    def run(self):
-        try:
-            self._value = self._fn(*self._args)
-        except BaseException as exc:  # handed to the thread that calls result()
-            self._error = exc
-
-    def result(self):
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
 def impute_svd(data, params=None):
     """Soft-impute each view; a view's row mask expands to all its entries.
 
     When at least two views that need a fill are WIDE_VIEW_COLUMNS (32) or
-    more columns wide, the widest of them (the first, on a tie) is fitted on
-    one worker thread while this thread fits the others in view order; the
-    result is byte-equal to the serial loop. Threading pays off only where
-    the SVDs, which release the GIL, outweigh the Python between them: with
-    one BLAS thread on 2 vCPUs, three equal views fitted on two threads ran
-    0.66x and 0.73x as fast as serial at 300x12 and 300x20, and 1.28x, 1.24x,
-    1.35x and 1.51x as fast at 300x32, 300x48, 400x60 and 200x100. Narrower
-    views keep the serial loop. So does a BLAS that started with more than
-    one thread per call (pmvl._blas.ONE_THREAD false, as when numpy loads
-    before pmvl): at 400x[100,80,60] with 2 OpenBLAS threads, two threads
-    took 16-17 s against 9.3-11 s serial. On failure the error of the
-    lowest-numbered failing view surfaces, as in the serial loop.
+    more columns wide, `map_striped` fits the views in groups, in view order,
+    with the widest of them (the first, on a tie) alone in its group: on 2
+    CPUs one process fits the widest view and a second the rest, and the
+    result is byte-equal to the serial loop. Single views dealt round-robin
+    balance worse: four masks of 400x[100,80,60] took 14.8-16.5 s so,
+    against 11.3-12.2 s split this way.
+
+    Otherwise all views form one group, fitted here. That holds for a BLAS
+    that started with more than one thread per call (pmvl._blas.ONE_THREAD
+    false, as when numpy loads before pmvl): with 2 OpenBLAS threads per
+    call on 2 vCPUs, two masks of 400x[100,80,60] took 73-134 s in two
+    processes against 19-20 s serial. It holds for narrower views too,
+    although at 300x[12,12,12] two processes took 160-209 ms (median 185)
+    against 154-265 ms (median 236) serial: views as narrow as `sweep`'s
+    [20,16,12] would then fork again inside sweep's own stripe processes,
+    which is unmeasured.
+
+    On failure the error of the lowest-numbered failing view surfaces, as
+    in the serial loop.
     """
     params = params or SvdParams()
     observed = data.mask.astype(bool)
     todo = [v for v in range(data.n_views) if not observed[:, v].all()]
     views = [None if v in todo else x.copy() for v, x in enumerate(data.views)]
 
-    def fit(v):
-        return _fit_view(data.views[v], observed[:, v], params)
+    def fit_group(group):
+        # stops at the group's first failing view, so map_striped's first
+        # error in item order is the serial loop's
+        return [_fit_view(data.views[v], observed[:, v], params) for v in group]
 
     wide = [v for v in todo if data.views[v].shape[1] >= WIDE_VIEW_COLUMNS]
     if len(wide) < 2 or not _blas.ONE_THREAD:
-        for v in todo:
-            views[v] = fit(v)
+        groups = [todo]
     else:
         side = max(wide, key=lambda v: data.views[v].shape[1])
-        side_fit = _Call(fit, side)
-        side_fit.start()
-        try:
-            for v in todo:
-                if v == side:
-                    continue
-                try:
-                    views[v] = fit(v)
-                except Exception:
-                    if v > side:
-                        side_fit.result()  # a serial loop would fail on `side` first
-                    raise
-        finally:
-            side_fit.join()
-        views[side] = side_fit.result()
+        groups = [g for g in ([v for v in todo if v < side], [side],
+                              [v for v in todo if v > side]) if g]
+    for group, filled in zip(groups, map_striped(fit_group, groups)):
+        for v, x in zip(group, filled):
+            views[v] = x
     return MultiViewDataset(views, np.ones_like(data.mask), None if data.labels is None
                             else data.labels.copy(), list(data.view_names))
 

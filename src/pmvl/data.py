@@ -2,8 +2,11 @@
 
 A dataset is V per-view feature matrices sharing N rows, an N x V binary
 mask (1 = the sample has that view), optional integer labels, and view
-names. Entries under mask zeros are stored as literal zeros; no loss or
-gradient in this package ever reads them.
+names. Views are float64 and finite: a NaN or inf anywhere, under a mask
+zero too, raises an InputError naming the view, row and column. Entries
+under mask zeros are stored as zeros (`load_csv_views` writes them, so a CSV
+may hold NaN for "missing" there); no loss or gradient in this package ever
+reads them.
 
 The missing-pattern generator removes a targeted fraction of (sample, view)
 slots uniformly at random while guaranteeing every sample keeps at least
@@ -33,10 +36,23 @@ class MultiViewDataset:
     def __post_init__(self):
         if not self.views:
             raise InputError("dataset needs at least one view")
-        n = self.views[0].shape[0]
+        views = []
         for i, v in enumerate(self.views):
+            try:
+                views.append(np.asarray(v, dtype=np.float64))  # no copy of a float64 array
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"view {i} is not an array of numbers ({exc})") from None
+        self.views = views
+        n = views[0].shape[0] if views[0].ndim else 0
+        for i, v in enumerate(views):
             if v.ndim != 2 or v.shape[0] != n:
                 raise InputError(f"view {i} has shape {v.shape}, expected ({n}, D)")
+            # a masked slot is multiplied by zero, which leaves NaN and inf as they are
+            bad = ~np.isfinite(v)
+            if bad.any():
+                row, col = np.argwhere(bad)[0]
+                raise InputError(f"view {i} row {row} column {col} holds {v[row, col]}; "
+                                 "views hold finite numbers, 0 under a masked slot")
         self.mask = np.asarray(self.mask)
         if self.mask.shape != (n, len(self.views)):
             raise InputError(f"mask shape {self.mask.shape} vs ({n}, {len(self.views)})")
@@ -81,12 +97,13 @@ class MultiViewDataset:
         return [v.shape[1] for v in self.views]
 
     def copy(self):
-        return MultiViewDataset(
-            [v.copy() for v in self.views],
-            self.mask.copy(),
-            None if self.labels is None else self.labels.copy(),
-            list(self.view_names),
-        )
+        """An independent copy, not checked again: this dataset was checked when built."""
+        out = object.__new__(type(self))
+        out.views = [v.copy() for v in self.views]
+        out.mask = self.mask.copy()
+        out.labels = None if self.labels is None else self.labels.copy()
+        out.view_names = list(self.view_names)
+        return out
 
     def take(self, idx):
         """Row subset, in the given order."""

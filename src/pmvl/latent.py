@@ -213,7 +213,10 @@ class Checkpoint:
         raw = path.read_bytes()
         if len(raw) != 8 * shape[0] * shape[1]:
             raise InputError(f"{path}: holds {len(raw)} bytes, expected {shape} float64s")
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        values = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        if not np.isfinite(values).all():
+            raise InputError(f"{path}: holds a non-finite number")
+        return values
 
     def latent(self):
         return LatentTable(self.array("latent", "n_samples"))

@@ -271,7 +271,8 @@ def save_net(net, path):
 
 
 def load_net(path):
-    """Read a save_net checkpoint; a malformed header or a wrong-sized binary raises."""
+    """Read a save_net checkpoint; a malformed header, a wrong-sized binary or a
+    non-finite number raises."""
     path = Path(path)
     header = read_json_object(path, InputError)
     try:
@@ -285,6 +286,8 @@ def load_net(path):
     if len(raw) != 8 * expected:
         raise DimensionError(f"{bin_path}: holds {len(raw)} bytes, expected {8 * expected}")
     flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    if not np.isfinite(flat).all():
+        raise InputError(f"{bin_path}: holds a non-finite number")
     weights, biases = [], []
     ofs = 0
     for d_in, d_out in zip(dims[:-1], dims[1:]):

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -179,7 +180,7 @@ def test_svd_imputer_completes_and_is_deterministic():
 
 
 def serial_impute_svd(data, params=None):
-    """Reference: every view fitted in order on the calling thread."""
+    """Reference: every view fitted in order in this process."""
     params = params or SvdParams()
     out = data.copy()
     for v in range(out.n_views):
@@ -201,59 +202,75 @@ def serial_impute_svd(data, params=None):
     return out
 
 
-def recording_soft_impute(calls):
-    """soft_impute_matrix that appends (width, thread, live threads, trace) per call."""
+def recording_soft_impute(log):
+    """soft_impute_matrix that appends a line per call to the file `log`.
+
+    A forked stripe shares files with this process, not lists.
+    """
     real = baselines.soft_impute_matrix
 
     def run(x, observed, params, tol=1e-6):
         live = threading.active_count()
         completed, trace = real(x, observed, params, tol)
-        calls.append((x.shape[1], threading.current_thread(), live, trace))
+        with open(log, "a") as f:
+            f.write(f"{x.shape[1]} {os.getpid()} {live} {np.array(trace).tobytes().hex()}\n")
         return completed, trace
 
     return run
 
 
-def test_impute_svd_threaded_equals_serial_loop_bytes():
-    # with BLAS on one thread, the two wide views take the threaded path;
-    # the narrow one stays on the calling thread
+def recorded_fits(log):
+    """(width, pid, live threads, trace bytes) per call that recording_soft_impute logged."""
+    return [(int(w), int(pid), int(live), bytes.fromhex(trace))
+            for w, pid, live, trace in (line.split(" ") for line in log.read_text().splitlines())]
+
+
+def test_impute_svd_threaded_equals_serial_loop_bytes(tmp_path, monkeypatch):
+    # with BLAS on one thread the two wide views split the fits on 2 CPUs: the
+    # widest view (48, view 0) is the first group, fitted here, and views 1
+    # and 2 the second, fitted in a forked process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     data = synth_dataset(120, classes=3, latent_dim=4, view_dims=[48, 40, 8], seed=3)
     masked = apply_missing_pattern(data, MissingSpec(0.5, seed=3))
-    fits = {"threaded": [], "serial": []}
+    logs = {"threaded": tmp_path / "threaded.log", "serial": tmp_path / "serial.log"}
     with mock.patch.object(_blas, "ONE_THREAD", True), \
-            mock.patch.object(baselines, "soft_impute_matrix", recording_soft_impute(fits["threaded"])):
+            mock.patch.object(baselines, "soft_impute_matrix", recording_soft_impute(logs["threaded"])):
         got = impute_baseline(masked, SVD)
-    with mock.patch.object(baselines, "soft_impute_matrix", recording_soft_impute(fits["serial"])):
+    assert multiprocessing.active_children() == []
+    with mock.patch.object(baselines, "soft_impute_matrix", recording_soft_impute(logs["serial"])):
         want = serial_impute_svd(masked)
     assert (got.mask == 1).all() and got.view_names == want.view_names
     assert np.array_equal(got.labels, want.labels)
     for a, b in zip(got.views, want.views):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    main = threading.main_thread()
-    assert {w for w, t, _, _ in fits["threaded"] if t is not main} == {48}
-    assert all(t is main for _, t, _, _ in fits["serial"])
+    fits = {k: recorded_fits(log) for k, log in logs.items()}
+    parent = os.getpid()
+    assert {w for w, pid, _, _ in fits["threaded"] if pid != parent} == {40, 8}
+    assert len({pid for _, pid, _, _ in fits["threaded"]}) == 2
+    assert all(pid == parent for _, pid, _, _ in fits["serial"])
     # grid trials then the final fit, per view, in the same order either way
     for width in (48, 40, 8):
-        traces = {k: [np.array(tr).tobytes() for w, _, _, tr in calls if w == width]
-                  for k, calls in fits.items()}
+        traces = {k: [tr for w, _, _, tr in calls if w == width] for k, calls in fits.items()}
         assert len(traces["serial"]) == 4 and traces["threaded"] == traces["serial"]
 
 
 @pytest.mark.parametrize("n, dims, one_blas_thread", [
     (300, [20, 16, 12], True), (120, [48, 20, 8], True), (120, [48, 40, 8], False),
 ])
-def test_impute_svd_serial_paths_start_no_thread(n, dims, one_blas_thread):
+def test_impute_svd_serial_paths_start_no_thread(n, dims, one_blas_thread, tmp_path):
     # fewer than two views WIDE_VIEW_COLUMNS wide, or a BLAS that runs more
-    # threads per call, keep the loop
+    # threads per call, keep the loop in this process
     masked = apply_missing_pattern(
         synth_dataset(n, classes=3, latent_dim=4, view_dims=dims, seed=1), MissingSpec(0.3, seed=1))
     before = threading.active_count()
-    calls = []
+    log = tmp_path / "fits.log"
     with mock.patch.object(_blas, "ONE_THREAD", one_blas_thread), \
-            mock.patch.object(baselines, "soft_impute_matrix", recording_soft_impute(calls)):
+            mock.patch.object(baselines, "soft_impute_matrix", recording_soft_impute(log)):
         impute_baseline(masked, SVD, svd_params=SvdParams(iters=5))
+    calls = recorded_fits(log)
     assert len(calls) == 12
-    assert all(t is threading.main_thread() and live == before for _, t, live, _ in calls)
+    assert all(pid == os.getpid() and live == before for _, pid, live, _ in calls)
+    assert threading.active_count() == before and multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("preset, numpy_first, want", [
@@ -285,7 +302,8 @@ def test_import_sets_one_blas_thread_before_numpy_loads(preset, numpy_first, wan
     ([48, 40, 36], (0, 2)), ([48, 40, 36], (1, 2)), ([48, 40, 36], (2,)),
     ([40, 48, 36], (0, 1)), ([40, 48, 36], (1, 2)), ([40, 48, 36], (0, 2)),
 ])
-def test_impute_svd_raises_the_serial_loops_first_error(dims, failing):
+def test_impute_svd_raises_the_serial_loops_first_error(dims, failing, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     data = synth_dataset(60, classes=3, latent_dim=4, view_dims=dims, seed=2)
     masked = apply_missing_pattern(data, MissingSpec(0.3, seed=2))
     for v in failing:
@@ -298,6 +316,7 @@ def test_impute_svd_raises_the_serial_loops_first_error(dims, failing):
     with mock.patch.object(_blas, "ONE_THREAD", True), pytest.raises(InputError) as threaded:
         impute_baseline(masked, SVD, svd_params=SvdParams(iters=5))
     assert str(threaded.value) == str(serial.value)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

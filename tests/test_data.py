@@ -47,6 +47,32 @@ def test_dataset_validation_rejects_non_integral_labels(labels, bad):
         MultiViewDataset([np.zeros((4, 2))], np.ones((4, 1)), labels=labels)
 
 
+@pytest.mark.parametrize("bad, observed", [(np.nan, False), (np.inf, True), (-np.inf, False)])
+def test_dataset_validation_rejects_non_finite_entries(bad, observed):
+    # a masked slot is multiplied by zero, which is inert for finite values only
+    mask = np.ones((4, 2))
+    mask[2, 1] = observed
+    second = np.zeros((4, 3))
+    second[2, 1] = bad
+    with pytest.raises(InputError, match=f"view 1 row 2 column 1 holds {bad}"):
+        MultiViewDataset([np.zeros((4, 2)), second], mask)
+
+
+def test_dataset_takes_plain_list_views():
+    data = MultiViewDataset([[[1, 2], [3, 4]], [[0.5], [1.5]]], [[1, 1], [1, 0]])
+    assert [v.dtype for v in data.views] == [np.float64, np.float64]
+    assert data.views[0].tolist() == [[1.0, 2.0], [3.0, 4.0]] and data.view_dims == [2, 1]
+    view = np.zeros((2, 3))
+    assert MultiViewDataset([view], np.ones((2, 1))).views[0] is view
+
+
+@pytest.mark.parametrize("view", [[[1.0, 2.0], [3.0]], [["a", "b"], ["c", "d"]],
+                                  [[1.0, {}], [1.0, 1.0]]])
+def test_dataset_validation_rejects_views_that_are_not_numbers(view):
+    with pytest.raises(InputError, match="view 1 is not an array of numbers"):
+        MultiViewDataset([np.zeros((2, 2)), view], np.ones((2, 2)))
+
+
 def test_dataset_validation_accepts_integral_float_labels():
     data = MultiViewDataset([np.zeros((4, 2))], np.ones((4, 1)), labels=[0.0, 1.0, 1.0, 0.0])
     assert data.labels.dtype == np.int64 and data.labels.tolist() == [0, 1, 1, 0]

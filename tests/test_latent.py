@@ -1,7 +1,9 @@
 """The shared latent-model core: checkpoint layout and corrupt-checkpoint errors."""
 
 import json
+import math
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -35,6 +37,8 @@ CORRUPTIONS = {
     "truncated_latents": ("latent.bin", lambda raw: raw[:-8]),
     "half_net_file": ("{role}_v0.bin", lambda raw: raw[:len(raw) // 2]),
     "odd_length_net_file": ("{role}_v0.bin", lambda raw: raw[:-1]),
+    "nan_in_latents": ("latent.bin", lambda raw: struct.pack("<d", math.nan) + raw[8:]),
+    "inf_in_net_file": ("{role}_v0.bin", lambda raw: raw[:-8] + struct.pack("<d", -math.inf)),
     "dropped_key": ("{manifest}", drop_n_views),
     "non_json_manifest": ("{manifest}", lambda raw: b"{not json"),
 }

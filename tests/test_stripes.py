@@ -62,6 +62,17 @@ def test_map_striped_raises_the_first_failure_in_item_order(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_map_striped_nests(monkeypatch):
+    # a stripe may stripe again, as soft-impute of wide views does inside a sweep cell
+    cpus(monkeypatch, 2)
+    got = _stripes.map_striped(
+        lambda x: _stripes.map_striped(lambda y: (x, y, os.getpid()), range(2)), range(2))
+    assert [[(x, y) for x, y, _ in inner] for inner in got] == [[(0, 0), (0, 1)],
+                                                                [(1, 0), (1, 1)]]
+    assert got[0][0][2] == PARENT and len({pid for inner in got for *_, pid in inner}) == 4
+    assert multiprocessing.active_children() == []
+
+
 def test_dead_child_without_on_lost_raises_worker_error(monkeypatch):
     def fn(x):
         if os.getpid() != PARENT:
