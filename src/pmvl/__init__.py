@@ -49,9 +49,7 @@ from .metrics import (
 from .supervised import (
     SupervisedModel,
     TrainConfig,
-    classify,
     evaluate,
-    infer_latent,
     infer_latents,
     load_model,
     retune,
@@ -72,8 +70,7 @@ __all__ = [
     "ConfigurationError", "InputError", "PmvlError", "TrainingError",
     "classification_report", "clustering_acc", "evaluate_clustering",
     "kmeans", "nmi", "nrmse",
-    "SupervisedModel", "TrainConfig", "classify", "evaluate",
-    "infer_latent", "infer_latents", "load_model", "retune",
-    "save_model", "train",
+    "SupervisedModel", "TrainConfig", "evaluate", "infer_latents",
+    "load_model", "retune", "save_model", "train",
     "__version__",
 ]

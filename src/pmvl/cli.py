@@ -214,10 +214,11 @@ def cmd_train_sup(args):
 
 
 def cmd_train_unsup(args):
+    if args.eta > 0 and args.truth:
+        raise ConfigurationError("--truth and --eta > 0 exclude each other: "
+                                 "--eta masks --data and scores the fill against it")
     data = load_dataset(args.data)
     merged = _settings(args, GAN_PRESETS, GanConfig)
-    if args.no_gan:
-        merged["adv_weight"] = 0.0
     truth = None
     if args.eta > 0:
         truth = data
@@ -443,14 +444,13 @@ def build_parser():
     p = sub.add_parser("train-unsup", help="adversarial imputation training")
     p.add_argument("--data", required=True)
     p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--truth", help="pre-masking dataset manifest, for NRMSE")
+    p.add_argument("--truth", help="pre-masking dataset manifest, for NRMSE (not with --eta > 0)")
     p.add_argument("--latent-dim", dest="latent_dim", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--d-steps", dest="d_steps", type=int)
     p.add_argument("--adv-weight", dest="adv_weight", type=float)
     p.add_argument("--hidden-dims", dest="hidden_dims")
-    p.add_argument("--no-gan", action="store_true")
     _add_common(p)
     p.set_defaults(fn=cmd_train_unsup)
 

@@ -168,7 +168,7 @@ def apply_missing_pattern(data, spec):
     return out
 
 
-def _read_csv(path, kind="float", has_header=False):
+def _read_csv(path, kind="float"):
     """Parse a rectangular numeric CSV; errors carry file and line."""
     path = Path(path)
     if not path.exists():
@@ -178,8 +178,6 @@ def _read_csv(path, kind="float", has_header=False):
     try:
         with open(path, newline="") as fh:
             for lineno, row in enumerate(csv.reader(fh), start=1):
-                if has_header and lineno == 1:
-                    continue
                 if not row:
                     continue
                 if width is None:
@@ -203,15 +201,15 @@ def _read_csv(path, kind="float", has_header=False):
     return np.asarray(rows, dtype=dtype)
 
 
-def load_csv_views(paths, label_path=None, mask_path=None, has_header=False, view_names=None):
+def load_csv_views(paths, label_path=None, mask_path=None, view_names=None):
     """Assemble a dataset from one CSV per view plus optional labels/mask files."""
-    views = [_read_csv(p, "float", has_header) for p in paths]
+    views = [_read_csv(p, "float") for p in paths]
     n = views[0].shape[0]
     for p, v in zip(paths, views):
         if v.shape[0] != n:
             raise IngestionError(f"{p}: {v.shape[0]} rows, expected {n} (row-count mismatch)")
     if mask_path is not None:
-        mask = _read_csv(mask_path, "int", has_header)
+        mask = _read_csv(mask_path, "int")
         if mask.shape != (n, len(views)):
             raise IngestionError(f"{mask_path}: mask shape {mask.shape}, expected ({n}, {len(views)})")
         if not np.isin(mask, (0, 1)).all():
@@ -229,7 +227,7 @@ def load_csv_views(paths, label_path=None, mask_path=None, has_header=False, vie
             raise IngestionError(f"{p}: row {bad[0] + 1} has a non-finite cell in an observed slot")
     labels = None
     if label_path is not None:
-        labels = _read_csv(label_path, "int", has_header).reshape(-1)
+        labels = _read_csv(label_path, "int").reshape(-1)
         if labels.shape[0] != n:
             raise IngestionError(f"{label_path}: {labels.shape[0]} labels for {n} rows")
     return MultiViewDataset(views, mask, labels, view_names)

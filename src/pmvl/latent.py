@@ -10,6 +10,7 @@ little-endian float64 arrays.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -186,25 +187,44 @@ class Checkpoint:
     """Reads what save_checkpoint wrote; an inconsistent file raises a PmvlError.
 
     `fields` gives the JSON type of each manifest key needed beyond the
-    common ones; counts must be nonnegative.
+    common ones; counts must be nonnegative, and a `*_trace` key must hold
+    a list of finite numbers.
     """
 
     def __init__(self, path, name, config_cls, fields=None):
         path = Path(path)
         self.path = path / f"{name}.json" if path.is_dir() else path
         self.manifest = m = read_json_object(self.path, InputError)
-        common = {"config": dict, "n_views": int, "n_samples": int, "latent_dim": int}
+        common = {"config": dict, "n_views": int, "n_samples": int, "latent_dim": int,
+                  "view_dims": list}
         for key, kind in {**common, **(fields or {})}.items():
             if not isinstance(m.get(key), kind) or (kind is int and m[key] < 0):
                 raise InputError(f"{self.path}: manifest needs a valid '{key}' ({kind.__name__})")
+        if len(m["view_dims"]) != m["n_views"]:
+            raise InputError(f"{self.path}: 'view_dims' needs one width per view")
+        for key in [k for k in m if k.endswith("_trace")]:
+            if not isinstance(m[key], list) or not all(
+                    isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+                    for x in m[key]):
+                raise InputError(f"{self.path}: '{key}' must be a list of finite numbers")
         try:
             self.config = config_cls.from_dict(m["config"])
         except (PmvlError, TypeError, ValueError) as exc:
             raise InputError(f"{self.path}: bad config: {exc}") from None
 
     def nets(self, role):
-        n = self.manifest["n_views"]
-        return [load_net(self.path.parent / f"{role}_v{i}.json") for i in range(n)]
+        """The role's per-view nets: view v's maps latent_dim to view_dims[v] wide,
+        or for discriminators ("disc") view_dims[v] to 1."""
+        nets = []
+        for v, width in enumerate(self.manifest["view_dims"]):
+            path = self.path.parent / f"{role}_v{v}.json"
+            net = load_net(path)
+            want = (width, 1) if role == "disc" else (self.manifest["latent_dim"], width)
+            if (net.input_dim, net.output_dim) != want:
+                raise InputError(f"{path}: maps {net.input_dim} to {net.output_dim} wide, "
+                                 f"expected {want[0]} to {want[1]}")
+            nets.append(net)
+        return nets
 
     def array(self, key, rows):
         """`{key}.bin` as a (manifest[rows], latent_dim) float64 array."""

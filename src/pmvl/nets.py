@@ -281,6 +281,8 @@ def load_net(path):
         activation, l2 = header["activation"], float(header["l2_coefficient"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed net header ({exc!r})") from None
+    if not np.isfinite(l2):
+        raise InputError(f"{path}: l2_coefficient {l2} is not finite")
     expected = sum(d_out * (d_in + 1) for d_in, d_out in zip(dims[:-1], dims[1:]))
     raw = bin_path.read_bytes()
     if len(raw) != 8 * expected:

@@ -199,31 +199,34 @@ def retune(model, data):
     return replace(model, retuned_nets=nets)
 
 
-def _infer_batch(model, views, mask, iters=None, lr=None):
-    """Shared gradient-descent recovery of latents for a batch of samples.
+def infer_latents(model, data):
+    """Latent rows for a whole dataset, by gradient descent through frozen nets.
 
-    Runs through the re-tuned nets when the model has them. Rows are
-    independent (per-row loss, per-row gradient), so batching is exactly
-    the per-sample loop, just vectorized. Returns the best iterate per row
+    Runs through the re-tuned nets when the model has them, for
+    `config.infer_iters` steps at `config.infer_lr` (else `lr_latent`).
+    Rows are independent (per-row loss, per-row gradient), so a row
+    inferred alone gets the same latent. Returns the best iterate per row
     by masked reconstruction loss, starting from zeros. Each iterate's
     residuals score it and then drive the step away from it.
     """
     nets = model.retuned_nets
     if nets is None:
-        warnings.warn("model has no re-tuned nets; inferring through training nets", stacklevel=3)
+        warnings.warn("model has no re-tuned nets; inferring through training nets", stacklevel=2)
         nets = model.recon_nets
+    check_views(nets, data.views)
+    if (data.mask.sum(axis=1) == 0).any():
+        raise InputError("a sample has no observed view")
     cfg = model.config
-    iters = iters if iters is not None else cfg.infer_iters
-    lr = lr if lr is not None else cfg.infer_lr if cfg.infer_lr is not None else cfg.lr_latent
-    h = np.zeros((views[0].shape[0], nets[0].input_dim))
+    lr = cfg.lr_latent if cfg.infer_lr is None else cfg.infer_lr
+    h = np.zeros((data.n_samples, nets[0].input_dim))
     acts = [activations(net, h) for net in nets]
-    res = residuals(nets, h, views, mask, acts)
+    res = residuals(nets, h, data.views, data.mask, acts)
     best_h = h.copy()
     best_loss = sum((r ** 2).sum(axis=1) for r in res)
-    for _ in range(iters):
+    for _ in range(cfg.infer_iters):
         h = h - lr * latent_pullback(nets, h, [2.0 * r for r in res], acts)
         acts = [activations(net, h) for net in nets]
-        res = residuals(nets, h, views, mask, acts)
+        res = residuals(nets, h, data.views, data.mask, acts)
         loss = sum((r ** 2).sum(axis=1) for r in res)
         better = loss < best_loss
         best_h[better] = h[better]
@@ -231,31 +234,9 @@ def _infer_batch(model, views, mask, iters=None, lr=None):
     return best_h
 
 
-def infer_latent(model, sample_views, sample_mask, iters=None, lr=None):
-    """Recover one sample's latent vector from whichever views it has."""
-    sample_mask = np.asarray(sample_mask).reshape(-1)
-    if sample_mask.sum() == 0:
-        raise InputError("sample has no observed view")
-    views = [np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in sample_views]
-    return _infer_batch(model, views, sample_mask[None, :], iters, lr)[0]
-
-
-def infer_latents(model, data, iters=None, lr=None):
-    """Latent rows for a whole dataset; same result as per-sample calls."""
-    check_views(model.recon_nets, data.views)
-    if (data.mask.sum(axis=1) == 0).any():
-        raise InputError("a sample has no observed view")
-    return _infer_batch(model, data.views, data.mask, iters, lr)
-
-
-def classify(model, latent_vector):
-    """Highest centroid dot product wins; ties go to the smaller class id."""
-    scores = model.centroids @ np.asarray(latent_vector, dtype=np.float64)
-    return int(np.argmax(scores))
-
-
 def evaluate(model, test_data):
-    """Infer a latent per test row, classify it, and score against labels."""
+    """Infer a latent per test row, take the centroid with the highest dot product
+    (ties go to the smaller class id), and score against labels."""
     if test_data.labels is None:
         raise InputError("evaluation needs labeled test data")
     h = infer_latents(model, test_data)

@@ -132,10 +132,21 @@ def test_train_unsup_no_gan_flag(masked_dir, tmp_path):
     out = tmp_path / "nogan"
     rc = run_cli("train-unsup", "--data", masked_dir / "dataset.json",
                  "--epochs", 20, "--latent-dim", 5, "--hidden-dims", "8",
-                 "--no-gan", "--seed", 3, "--out", out)
+                 "--adv-weight", 0, "--seed", 3, "--out", out)
     assert rc == 0
     rep = report_of(out)
     assert rep["config"]["adv_weight"] == 0.0
+
+
+def test_train_unsup_refuses_truth_with_eta(complete_dir, tmp_path, capsys):
+    # --eta masks --data and scores against it, so a --truth would go unread
+    out = tmp_path / "both"
+    rc = run_cli("train-unsup", "--data", complete_dir / "dataset.json", "--eta", 0.3,
+                 "--truth", complete_dir / "dataset.json", "--epochs", 2, "--out", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--truth" in err and "--eta" in err
+    assert not out.exists()
 
 
 def test_train_unsup_internal_masking(complete_dir, tmp_path):

@@ -15,9 +15,9 @@ from pmvl.errors import PmvlError
 from pmvl.supervised import TrainConfig, load_model, retune, save_model, train
 
 KINDS = {
-    # kind: (manifest, decoder role, loader)
-    "model": ("model.json", "recon", load_model),
-    "gan": ("gan.json", "gen", load_gan),
+    # kind: (manifest, decoder role, the other net role, loader)
+    "model": ("model.json", "recon", "retuned", load_model),
+    "gan": ("gan.json", "gen", "disc", load_gan),
 }
 # config keys older checkpoints carry, at the one value they ever held
 RETIRED = {
@@ -26,21 +26,64 @@ RETIRED = {
 }
 
 
-def drop_n_views(raw):
-    m = json.loads(raw)
-    del m["n_views"]
-    return json.dumps(m).encode()
+def rewrite(edit):
+    """A corruption of the named file alone, by bytes -> corrupted bytes."""
+    return lambda path: path.write_bytes(edit(path.read_bytes()))
 
 
-# corruption: (file it hits, bytes -> corrupted bytes)
+def rewrite_json(change):
+    """A corruption of the named JSON file, by a change made to its object in place."""
+    def edit(raw):
+        obj = json.loads(raw)
+        change(obj)
+        return json.dumps(obj).encode()
+    return rewrite(edit)
+
+
+def set_traces(value):
+    """Every `*_trace` key of a manifest set to `value`."""
+    return rewrite_json(lambda m: m.update((k, value) for k in list(m) if k.endswith("_trace")))
+
+
+def copy_of_view_1(path):
+    """View 0's net files made a copy of view 1's, of another width."""
+    for ext in (".json", ".bin"):
+        path.with_suffix(ext).write_bytes(
+            path.with_name(path.stem.replace("_v0", "_v1") + ext).read_bytes())
+
+
+def widen_latent_dim(path):
+    """One more latent column in the manifest and its arrays, none in the nets."""
+    ckpt = path.parent
+    manifest = next(ckpt / m for m, *_ in KINDS.values() if (ckpt / m).exists())
+    m = json.loads(manifest.read_text())
+    k = m["latent_dim"]
+    m["latent_dim"] = k + 1
+    manifest.write_text(json.dumps(m))
+    for array in (ckpt / "latent.bin", ckpt / "centroids.bin"):
+        if array.exists():
+            rows = np.fromfile(array, dtype="<f8").reshape(-1, k)
+            np.hstack([rows, np.ones((len(rows), 1))]).astype("<f8").tofile(array)
+
+
+# corruption: (file the error names, path of that file -> None, corrupting the checkpoint)
 CORRUPTIONS = {
-    "truncated_latents": ("latent.bin", lambda raw: raw[:-8]),
-    "half_net_file": ("{role}_v0.bin", lambda raw: raw[:len(raw) // 2]),
-    "odd_length_net_file": ("{role}_v0.bin", lambda raw: raw[:-1]),
-    "nan_in_latents": ("latent.bin", lambda raw: struct.pack("<d", math.nan) + raw[8:]),
-    "inf_in_net_file": ("{role}_v0.bin", lambda raw: raw[:-8] + struct.pack("<d", -math.inf)),
-    "dropped_key": ("{manifest}", drop_n_views),
-    "non_json_manifest": ("{manifest}", lambda raw: b"{not json"),
+    "truncated_latents": ("latent.bin", rewrite(lambda raw: raw[:-8])),
+    "half_net_file": ("{role}_v0.bin", rewrite(lambda raw: raw[:len(raw) // 2])),
+    "odd_length_net_file": ("{role}_v0.bin", rewrite(lambda raw: raw[:-1])),
+    "nan_in_latents": ("latent.bin", rewrite(lambda raw: struct.pack("<d", math.nan) + raw[8:])),
+    "inf_in_net_file": ("{role}_v0.bin",
+                        rewrite(lambda raw: raw[:-8] + struct.pack("<d", -math.inf))),
+    "dropped_key": ("{manifest}", rewrite_json(lambda m: m.pop("n_views"))),
+    "non_json_manifest": ("{manifest}", rewrite(lambda raw: b"{not json")),
+    "decoder_of_another_view": ("{role}_v0.json", copy_of_view_1),
+    "other_net_of_another_view": ("{other}_v0.json", copy_of_view_1),
+    "latent_dim_off_the_nets": ("{role}_v0.json", widen_latent_dim),
+    "trace_not_a_list": ("{manifest}", set_traces(5)),
+    "trace_of_characters": ("{manifest}", set_traces("abc")),
+    "nan_in_trace": ("{manifest}", set_traces([0.5, math.nan])),
+    "non_finite_l2_coefficient": ("{role}_v0.json",
+                                  rewrite_json(lambda net: net.update(l2_coefficient=math.inf))),
 }
 
 
@@ -77,12 +120,12 @@ def test_checkpoint_layout(checkpoints):
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_corrupt_checkpoint_is_pmvl_error(checkpoints, tmp_path, kind, corruption, capsys):
     root, data_manifest = checkpoints
-    manifest, role, load = KINDS[kind]
+    manifest, role, other, load = KINDS[kind]
     pattern, corrupt = CORRUPTIONS[corruption]
-    target = pattern.format(manifest=manifest, role=role)
+    target = pattern.format(manifest=manifest, role=role, other=other)
     ckpt = tmp_path / kind
     shutil.copytree(root / kind, ckpt)
-    (ckpt / target).write_bytes(corrupt((ckpt / target).read_bytes()))
+    corrupt(ckpt / target)
     with pytest.raises(PmvlError, match=target.replace(".", r"\.")):
         load(ckpt)
     if kind == "model":
@@ -99,7 +142,7 @@ def net_arrays(nets):
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_checkpoint_with_retired_keys_loads_same_model(checkpoints, tmp_path, kind, capsys):
     root, data_manifest = checkpoints
-    manifest, _, load = KINDS[kind]
+    manifest, _, _, load = KINDS[kind]
     ckpt = tmp_path / kind
     shutil.copytree(root / kind, ckpt)
     m = json.loads((ckpt / manifest).read_text())

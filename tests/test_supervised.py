@@ -10,7 +10,7 @@ from pmvl.data import (
     split,
     synth_dataset,
 )
-from pmvl.errors import ConfigurationError, InputError, TrainingError
+from pmvl.errors import ConfigurationError, DimensionError, InputError, TrainingError
 from pmvl.latent import (
     LatentTable,
     latent_pullback,
@@ -25,9 +25,7 @@ from pmvl.supervised import (
     TrainConfig,
     class_centroids,
     classification_loss,
-    classify,
     evaluate,
-    infer_latent,
     infer_latents,
     latent_gradients,
     load_model,
@@ -351,46 +349,60 @@ def make_identity_model(d, retuned=True):
     )
 
 
+def with_infer_iters(model, iters):
+    return replace(model, config=replace(model.config, infer_iters=iters))
+
+
+def rows_dataset(rows, labels=None):
+    """One fully observed view holding the given rows."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    return MultiViewDataset([rows], np.ones((len(rows), 1)), labels)
+
+
+TARGET = np.array([[0.4, -1.2, 2.0], [-0.3, 0.0, 1.1]])
+
+
 def test_infer_latent_identity_net_recovers_input():
     # single identity view: inference is least squares on ||h - x||^2
-    model = make_identity_model(3)
-    x = np.array([0.4, -1.2, 2.0])
-    h = infer_latent(model, [x], np.array([1]), iters=500, lr=0.1)
-    assert ((h - x) ** 2).sum() < 1e-4
+    h = infer_latents(make_identity_model(3), rows_dataset(TARGET))
+    assert ((h - TARGET) ** 2).sum(axis=1).max() < 1e-4
 
 
 def test_infer_latent_uses_config_inference_rate():
+    # the step is infer_lr, else lr_latent; a rate too small to move shows it is read
     model = make_identity_model(3)
-    x = np.array([0.4, -1.2, 2.0])
-    assert ((infer_latent(model, [x], np.array([1])) - x) ** 2).sum() < 1e-4
-
-
-def test_infer_latent_empty_mask_rejected():
-    model = make_identity_model(2)
-    with pytest.raises(InputError):
-        infer_latent(model, [np.zeros(2)], np.array([0]))
+    data = rows_dataset(TARGET)
+    h = infer_latents(model, data)
+    cfg = model.config
+    fallback = replace(model, config=replace(cfg, infer_lr=None, lr_latent=cfg.infer_lr))
+    assert infer_latents(fallback, data).tobytes() == h.tobytes()
+    slow = replace(model, config=replace(cfg, infer_lr=1e-6))
+    assert ((infer_latents(slow, data) - TARGET) ** 2).sum(axis=1).min() > 1.0
 
 
 def test_infer_latent_warns_without_retuned_nets():
-    model = make_identity_model(2, retuned=False)
+    model = with_infer_iters(make_identity_model(2, retuned=False), 5)
     with pytest.warns(UserWarning, match="re-tuned"):
-        infer_latent(model, [np.ones(2)], np.array([1]), iters=5)
+        infer_latents(model, rows_dataset(np.ones(2)))
+
+
+def test_infer_latents_checks_the_nets_it_infers_through():
+    model = make_identity_model(2)
+    model = replace(model, retuned_nets=[identity_net(3)])
+    with pytest.raises(DimensionError, match="view 0"):
+        infer_latents(model, rows_dataset(np.ones(2)))
 
 
 def test_infer_latents_matches_per_sample_calls():
     data = synth_dataset(25, 2, 4, [6, 5], seed=8, noise_scale=0.05)
     masked = apply_missing_pattern(data, MissingSpec(0.3, seed=8))
     model = train(masked, small_config(epochs=20))
-    model = retune(model, masked)
-    batch = infer_latents(model, masked, iters=40)
+    model = with_infer_iters(retune(model, masked), 40)
+    batch = infer_latents(model, masked)
+    rows = MultiViewDataset(masked.views, masked.mask)  # a lone row's label would leave gaps
     for i in range(masked.n_samples):
-        one = infer_latent(
-            model,
-            [v[i] for v in masked.views],
-            masked.mask[i],
-            iters=40,
-        )
-        assert np.allclose(one, batch[i], atol=1e-12)
+        one = infer_latents(model, rows.take([i]))
+        assert np.allclose(one[0], batch[i], atol=1e-12)
 
 
 def test_infer_latents_is_byte_equal_to_the_reference_loop():
@@ -408,7 +420,7 @@ def test_infer_latents_is_byte_equal_to_the_reference_loop():
         better = loss < best_loss
         best_h[better] = h[better]
         best_loss[better] = loss[better]
-    assert infer_latents(model, data, iters=30).tobytes() == best_h.tobytes()
+    assert infer_latents(with_infer_iters(model, 30), data).tobytes() == best_h.tobytes()
 
 
 def test_infer_latents_rejects_empty_row():
@@ -422,12 +434,12 @@ def test_infer_latents_rejects_empty_row():
 def test_partial_and_full_views_both_yield_finite_latents():
     data = synth_dataset(30, 2, 4, [6, 5], seed=9, noise_scale=0.05)
     model = train(data, small_config(epochs=20))
-    model = retune(model, data)
-    row = [v[0] for v in data.views]
-    full = infer_latent(model, row, np.array([1, 1]), iters=50)
-    partial = infer_latent(model, row, np.array([1, 0]), iters=50)
-    assert np.isfinite(full).all() and np.isfinite(partial).all()
-    assert full.shape == partial.shape == (model.config.latent_dim,)
+    model = with_infer_iters(retune(model, data), 50)
+    views = [v[[0, 0]] for v in data.views]  # sample 0 with both views, then with view 0 only
+    views[1][1] = 0.0
+    h = infer_latents(model, MultiViewDataset(views, np.array([[1, 1], [1, 0]])))
+    assert np.isfinite(h).all()
+    assert h.shape == (2, model.config.latent_dim)
 
 
 def test_reinferred_training_latents_stay_aligned():
@@ -447,13 +459,15 @@ def test_reinferred_training_latents_stay_aligned():
 # ------------------------------------------------------------ classifying
 
 def test_classify_picks_matching_orthogonal_centroid():
-    model = make_identity_model(3)
-    assert classify(model, np.eye(3)[2]) == 2
+    report = evaluate(make_identity_model(3), rows_dataset(2.0 * np.eye(3), [0, 1, 2]))
+    assert report.accuracy == 1.0
 
 
 def test_classify_tie_goes_to_smaller_id():
-    model = make_identity_model(3)
-    assert classify(model, np.zeros(3)) == 0
+    # equal centroids score every row the same for every class
+    model = replace(make_identity_model(3), centroids=np.tile([1.0, 0.0, 0.0], (3, 1)))
+    report = evaluate(model, rows_dataset(np.vstack([TARGET, np.eye(3)]), [0, 1, 2, 0, 1]))
+    assert report.confusion[:, 0].sum() == 5
 
 
 def test_classify_matches_brute_force():
@@ -466,10 +480,11 @@ def test_classify_matches_brute_force():
         config=TrainConfig(latent_dim=4),
         retuned_nets=[identity_net(4)],
     )
-    for _ in range(25):
-        h = rng.normal(size=4)
-        want = int(np.argmax([c @ h for c in centroids]))
-        assert classify(model, h) == want
+    rows = rng.normal(size=(25, 4))
+    h = infer_latents(model, rows_dataset(rows))
+    want = [int(np.argmax([c @ row for c in centroids])) for row in h]
+    assert set(want) == {0, 1, 2}
+    assert evaluate(model, rows_dataset(rows, want)).accuracy == 1.0
 
 
 def test_evaluate_reports_match_oracle_recount():
@@ -479,7 +494,7 @@ def test_evaluate_reports_match_oracle_recount():
     model = retune(model, tr)
     report = evaluate(model, te)
     h = infer_latents(model, te)
-    preds = np.array([classify(model, row) for row in h])
+    preds = np.array([np.argmax([c @ row for c in model.centroids]) for row in h])
     assert report.accuracy == np.mean(preds == te.labels)
     assert report.confusion.sum() == te.n_samples
 
@@ -507,10 +522,9 @@ def test_model_checkpoint_roundtrip(tmp_path):
         for wa, wb in zip(a.weights, b.weights):
             assert np.array_equal(wa, wb)
     # inference through the restored model is bit-identical
-    row = [v[0] for v in data.views]
-    ha = infer_latent(model, row, data.mask[0], iters=20)
-    hb = infer_latent(back, row, data.mask[0], iters=20)
-    assert np.array_equal(ha, hb)
+    ha = infer_latents(with_infer_iters(model, 20), data)
+    hb = infer_latents(with_infer_iters(back, 20), data)
+    assert ha.tobytes() == hb.tobytes()
 
 
 def test_model_checkpoint_without_retuned_nets(tmp_path):
@@ -544,7 +558,7 @@ def test_pipeline_beats_mean_fill_baseline_on_missing_synth():
 def test_versatility_bound_holds_for_linear_probes():
     data = synth_dataset(40, 2, 4, [6, 5], seed=16, noise_scale=0.05)
     model = retune(train(data, small_config(epochs=30)), data)
-    h = infer_latents(model, data, iters=50)
+    h = infer_latents(with_infer_iters(model, 50), data)
     rng = np.random.default_rng(17)
     for _ in range(20):
         e_y = e_r = 0.0
