@@ -32,7 +32,6 @@ from .data import (
     apply_missing_pattern,
     load_dataset,
     measured_rate,
-    normalize,
     save_dataset,
     split,
     synth_dataset,
@@ -65,7 +64,7 @@ __all__ = [
     "CLASS_MEAN", "GLOBAL_MEAN", "SVD", "SvdParams",
     "concat_classify", "impute_baseline",
     "MissingSpec", "MultiViewDataset", "apply_missing_pattern",
-    "load_dataset", "measured_rate", "normalize", "save_dataset",
+    "load_dataset", "measured_rate", "save_dataset",
     "split", "synth_dataset",
     "ConfigurationError", "InputError", "PmvlError", "TrainingError",
     "classification_report", "clustering_acc", "evaluate_clustering",

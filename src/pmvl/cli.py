@@ -88,6 +88,12 @@ def _naming(what, kind=ConfigurationError):
         raise type(exc)(f"{what}: {exc}") from None
 
 
+def _check_rates(flag, rates):
+    with _naming(flag):
+        for eta in rates:
+            MissingSpec(eta)
+
+
 def _check_repeats(repeats):
     if repeats < 1:
         raise ConfigurationError(f"--repeats must be >= 1, got {repeats}")
@@ -140,6 +146,7 @@ def cmd_synth(args):
 
 
 def cmd_mask(args):
+    _check_rates("--eta", [args.eta])
     data = load_dataset(args.data)
     masked = apply_missing_pattern(data, MissingSpec(args.eta, seed=args.seed))
     manifest = save_dataset(masked, args.out, name="dataset")
@@ -176,6 +183,7 @@ def _unsup_pipeline(masked, cfg, truth):
 
 
 def cmd_train_sup(args):
+    _check_rates("--eta", [args.eta])
     _check_repeats(args.repeats)
     data = load_dataset(args.data)
     merged = _settings(args, SUP_PRESETS, TrainConfig)
@@ -214,6 +222,7 @@ def cmd_train_sup(args):
 
 
 def cmd_train_unsup(args):
+    _check_rates("--eta", [args.eta])
     if args.eta > 0 and args.truth:
         raise ConfigurationError("--truth and --eta > 0 exclude each other: "
                                  "--eta masks --data and scores the fill against it")
@@ -332,6 +341,8 @@ def _failure_text(exc):
 def cmd_sweep(args):
     rates = _parse_list(args.rates, float, "rates")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    if not rates or not methods:
+        raise ConfigurationError(f"{'--methods' if rates else '--rates'} is empty: no cell to run")
     for m in methods:
         if m not in SWEEP_METHODS:
             raise ConfigurationError(
@@ -339,9 +350,7 @@ def cmd_sweep(args):
     sup_settings = _settings(args, SUP_PRESETS, TrainConfig)
     gan_settings = _settings(args, GAN_PRESETS, GanConfig)
     # settings that are wrong for every cell stop the run before any cell runs
-    with _naming("--rates"):
-        for eta in rates:
-            MissingSpec(eta)
+    _check_rates("--rates", rates)
     with _naming("--train-frac"):
         check_train_fraction(args.train_frac)
     _check_repeats(args.repeats)

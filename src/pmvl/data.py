@@ -286,33 +286,6 @@ def load_dataset(manifest_path):
     )
 
 
-def normalize(data):
-    """Min-max scale each view to [0, 1] per feature, using observed rows only.
-
-    Constant features (and features with no observed row) map to 0. Entries
-    under mask zeros stay zero.
-    """
-    out_views = []
-    for v in range(data.n_views):
-        x = data.views[v].copy()
-        obs = data.mask[:, v].astype(bool)
-        scaled = np.zeros_like(x)
-        if obs.any():
-            lo = x[obs].min(axis=0)
-            hi = x[obs].max(axis=0)
-            span = hi - lo
-            nz = span > 0
-            scaled[:, nz] = (x[:, nz] - lo[nz]) / span[nz]
-        scaled[~obs, :] = 0.0
-        out_views.append(scaled)
-    return MultiViewDataset(
-        out_views,
-        data.mask.copy(),
-        None if data.labels is None else data.labels.copy(),
-        list(data.view_names),
-    )
-
-
 def synth_dataset(
     n,
     classes,

@@ -64,14 +64,6 @@ class ClusteringReport:
     acc: float | None = None
     nmi: float | None = None
 
-    def to_dict(self):
-        return {
-            "assignments": self.assignments.tolist(),
-            "inertia": self.inertia,
-            "acc": self.acc,
-            "nmi": self.nmi,
-        }
-
 
 def squared_distances(points, centers):
     """(n_points, n_centers) squared distances, one centre at a time: each entry sums

@@ -13,12 +13,13 @@ hidden layers with a linear output (their targets are not confined to
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, InputError, read_json_object
+from .errors import ConfigurationError, DimensionError, InputError, check_number, read_json_object
 
 SIGMOID_HIDDEN = "sigmoid_hidden"  # sigmoid on hidden layers, linear output
 SIGMOID_ALL = "sigmoid_all"        # sigmoid on every layer, output included
@@ -75,6 +76,7 @@ class DenseNet:
             raise ConfigurationError(f"layer_dims must be positive, got {self.layer_dims}")
         if self.activation not in _ACTIVATIONS:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
+        check_number("l2_coefficient", self.l2_coefficient, numbers.Real)
         if self.l2_coefficient < 0:
             raise ConfigurationError("l2_coefficient must be >= 0")
         if len(self.weights) != len(self.layer_dims) - 1 or len(self.biases) != len(self.weights):
@@ -169,15 +171,19 @@ def _check_input(net, x, where="input"):
     return x
 
 
-def activations(net, input_batch):
-    """Every layer's output on a (B, d_in) batch: the batch first, forward's result last."""
-    a = _check_input(net, input_batch)
+def _layer_outputs(net, a):
+    """The layer loop of activations, on a batch _check_input has already checked."""
     acts = [a]
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ w.T + b
         a = sigmoid(z) if net.layer_activated(i) else z
         acts.append(a)
     return acts
+
+
+def activations(net, input_batch):
+    """Every layer's output on a (B, d_in) batch: the batch first, forward's result last."""
+    return _layer_outputs(net, _check_input(net, input_batch))
 
 
 def forward(net, input_batch):
@@ -196,13 +202,7 @@ def backward(net, input_batch, upstream_grad, acts=None):
     current parameters; without it they are evaluated here.
     """
     if acts is None:
-        x = _check_input(net, input_batch)
-        acts = [x]
-        a = x
-        for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-            z = a @ w.T + b
-            a = sigmoid(z) if net.layer_activated(i) else z
-            acts.append(a)
+        acts = _layer_outputs(net, _check_input(net, input_batch))
 
     g = np.asarray(upstream_grad, dtype=np.float64)
     if g.ndim == 1:

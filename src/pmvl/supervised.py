@@ -205,9 +205,9 @@ def infer_latents(model, data):
     Runs through the re-tuned nets when the model has them, for
     `config.infer_iters` steps at `config.infer_lr` (else `lr_latent`).
     Rows are independent (per-row loss, per-row gradient), so a row
-    inferred alone gets the same latent. Returns the best iterate per row
-    by masked reconstruction loss, starting from zeros. Each iterate's
-    residuals score it and then drive the step away from it.
+    inferred alone gets the same latent up to rounding. Returns the best
+    iterate per row by masked reconstruction loss, starting from zeros. Each
+    iterate's residuals score it and then drive the step away from it.
     """
     nets = model.retuned_nets
     if nets is None:

@@ -242,6 +242,8 @@ def test_sweep_leaves_warning_filters_as_it_found_them(complete_dir, tmp_path):
     ("impute", ["--method", "svd", "--shrinkage", "inf"], "shrinkage must be finite"),
     ("impute", ["--method", "svd", "--shrinkage", -1], "shrinkage must be >= 0"),
     ("impute", ["--method", "svd", "--rank", 0], "rank must be >= 1"),
+    ("sweep", ["--rates", ","], "--rates"),
+    ("sweep", ["--methods", ","], "--methods"),
 ])
 def test_bad_run_setting_exits_2_naming_it(complete_dir, tmp_path, capsys, command, flags, name):
     out = tmp_path / "x"
@@ -278,11 +280,14 @@ def test_eval_on_data_with_other_views_exits_2(model_6_5, tmp_path, capsys, view
     assert all(w in err for w in words), err
 
 
-def test_mask_bad_rate_exits_2(complete_dir, tmp_path, capsys):
-    rc = run_cli("mask", "--data", complete_dir / "dataset.json",
-                 "--eta", 1.5, "--out", tmp_path / "x")
+@pytest.mark.parametrize("eta", ["1.5", "-0.5", "nan"])
+@pytest.mark.parametrize("command", ["mask", "train-sup", "train-unsup"])
+def test_mask_bad_rate_exits_2(complete_dir, tmp_path, capsys, command, eta):
+    out = tmp_path / "x"
+    rc = run_cli(command, "--data", complete_dir / "dataset.json", "--eta", eta, "--out", out)
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert "error: --eta" in capsys.readouterr().err
+    assert not out.exists()  # checked before any masking or training
 
 
 def test_missing_input_exits_3(tmp_path, capsys):

@@ -10,7 +10,6 @@ from pmvl.data import (
     load_csv_views,
     load_dataset,
     measured_rate,
-    normalize,
     save_dataset,
     split,
     synth_dataset,
@@ -251,27 +250,6 @@ def test_load_dataset_accepts_null_optional_keys(tmp_path):
     back = load_dataset(manifest)
     assert (back.mask == 1).all() and back.labels is None
     assert back.view_names == ["view_0", "view_1"]
-
-
-def test_normalize_unit_range_on_observed():
-    data = apply_missing_pattern(small_complete(n=30), MissingSpec(0.3, seed=2))
-    scaled = normalize(data)
-    for v in range(scaled.n_views):
-        obs = scaled.mask[:, v].astype(bool)
-        x = scaled.views[v][obs]
-        assert x.min() >= 0.0 and x.max() <= 1.0
-        # each feature spans the full range after scaling
-        assert np.allclose(x.min(axis=0), 0.0)
-        assert np.allclose(x.max(axis=0), 1.0)
-        assert np.all(scaled.views[v][~obs] == 0.0)
-
-
-def test_normalize_constant_feature_maps_to_zero():
-    views = [np.column_stack([np.full(5, 3.0), np.arange(5.0)])]
-    data = MultiViewDataset(views, np.ones((5, 1)))
-    scaled = normalize(data)
-    assert np.all(scaled.views[0][:, 0] == 0.0)
-    assert scaled.views[0][:, 1].max() == 1.0
 
 
 def test_synth_dataset_shapes_and_balance():

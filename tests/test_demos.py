@@ -1,5 +1,5 @@
-"""The demos and README's python blocks import only names that pmvl defines;
-checked statically, nothing runs."""
+"""The demos, README's python blocks and pmvl.__all__ import only names that pmvl
+defines; checked statically, nothing runs."""
 
 import ast
 import importlib
@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import pmvl
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
@@ -15,6 +17,8 @@ README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_t
 # test id: source text
 SOURCES = {path.stem: path.read_text() for path in DEMOS}
 SOURCES.update((f"README_block_{i}", block) for i, block in enumerate(README_BLOCKS))
+# every export must resolve, so a deleted function cannot linger in __all__
+SOURCES["pmvl_all"] = f"from pmvl import ({', '.join(pmvl.__all__)})"
 
 
 def pmvl_imports(source):

@@ -461,5 +461,3 @@ def test_evaluate_clustering_full_report():
     rep = evaluate_clustering(pts, labels, seed=1)
     assert rep.acc == 1.0
     assert rep.nmi == 1.0
-    d = rep.to_dict()
-    assert set(d) == {"assignments", "inertia", "acc", "nmi"}

@@ -333,3 +333,6 @@ def test_densenet_shape_validation():
             weights=[np.zeros((2, 3))],
             biases=[np.zeros(3)],
         )
+    for bad_l2 in (np.nan, np.inf, True, "0.1"):
+        with pytest.raises(ConfigurationError, match="l2_coefficient"):
+            DenseNet([2, 2], [np.eye(2)], [np.zeros(2)], l2_coefficient=bad_l2)
