@@ -19,7 +19,7 @@ from . import _blas
 from ._stripes import map_striped
 from .data import MultiViewDataset
 from .errors import ConfigurationError, InputError, check_number
-from .metrics import classification_report, squared_distances
+from .metrics import class_centroids, classification_report, squared_distances
 
 GLOBAL_MEAN = "global_mean"
 CLASS_MEAN = "class_mean"
@@ -262,9 +262,7 @@ def concat_classify(train_data, test_data, rule="nearest_centroid", k=1):
     x_test = np.hstack(test_data.views)
     y_train = train_data.labels
     if rule == "nearest_centroid":
-        centroids = np.stack(
-            [x_train[y_train == c].mean(axis=0) for c in range(train_data.n_classes)]
-        )
+        centroids = class_centroids(x_train, y_train, train_data.n_classes)
         d2 = squared_distances(x_test, centroids)
         preds = d2.argmin(axis=1)
     elif rule == "knn":

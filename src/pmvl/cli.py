@@ -339,8 +339,8 @@ def _failure_text(exc):
 
 
 def cmd_sweep(args):
-    rates = _parse_list(args.rates, float, "rates")
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    rates = list(dict.fromkeys(_parse_list(args.rates, float, "rates")))
+    methods = list(dict.fromkeys(m.strip() for m in args.methods.split(",") if m.strip()))
     if not rates or not methods:
         raise ConfigurationError(f"{'--methods' if rates else '--rates'} is empty: no cell to run")
     for m in methods:
@@ -359,6 +359,8 @@ def cmd_sweep(args):
     if any(m.startswith("unsup") for m in methods):
         GanConfig(**gan_settings)
     data = load_dataset(args.data)
+    if max(rates) > 0 and (data.mask == 0).any():
+        raise ConfigurationError(f"{args.data} has masked slots: --rates above 0 need complete data")
     cells = list(itertools.product(methods, rates, range(args.seed, args.seed + args.repeats)))
 
     def run_cell(cell):
@@ -493,6 +495,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except PmvlError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, IngestionError, InputError, SplitError, read_json_object
+from .errors import (ConfigurationError, IngestionError, InputError, SplitError, check_number,
+                     read_json_object)
 from .nets import sigmoid
 
 
@@ -123,6 +125,10 @@ class MissingSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_number("target_rate", self.target_rate, numbers.Real)
+        check_number("seed", self.seed, numbers.Integral)
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.target_rate < 1.0:
             raise ConfigurationError(f"target_rate {self.target_rate} outside [0, 1)")
 

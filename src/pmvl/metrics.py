@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, check_number
+from .errors import ConfigurationError, InputError, TrainingError, check_number
 
 
 @dataclass
@@ -72,31 +72,40 @@ def squared_distances(points, centers):
     return np.stack([((points - c) ** 2).sum(axis=1) for c in centers], axis=1)
 
 
+def class_centroids(h, labels, n_classes):
+    centroids = np.empty((n_classes, h.shape[1]))
+    for c in range(n_classes):
+        members = labels == c
+        if not members.any():
+            raise TrainingError(f"class {c} has no samples to form a centroid")
+        centroids[c] = h[members].mean(axis=0)
+    return centroids
+
+
 def _plus_plus_seeds(points, k, rng):
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    d2 = squared_distances(points, centers[:1])[:, 0]
     for i in range(1, k):
         total = d2.sum()
         if total <= 0:
             centers[i] = points[rng.integers(n)]
             continue
         centers[i] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((points - centers[i]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, squared_distances(points, centers[i:i + 1])[:, 0])
     return centers
 
 
-def _lloyd(points, centers, max_iters=300):
-    k = centers.shape[0]
+def _lloyd(points, centers):
     assign = None
-    for _ in range(max_iters):
+    for _ in range(300):
         d2 = squared_distances(points, centers)
         new_assign = d2.argmin(axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
-            break
+            break  # the centres did not move since d2 was computed
         assign = new_assign
-        for c in range(k):
+        for c in range(len(centers)):
             members = assign == c
             if members.any():
                 centers[c] = points[members].mean(axis=0)
@@ -104,19 +113,18 @@ def _lloyd(points, centers, max_iters=300):
                 # re-seed a starved centroid from the point farthest from its own
                 far = int(d2[np.arange(len(assign)), assign].argmax())
                 centers[c] = points[far]
-    d2 = squared_distances(points, centers)
-    assign = d2.argmin(axis=1)
-    inertia = float(d2[np.arange(points.shape[0]), assign].sum())
-    return assign, inertia
+    else:  # the cap ended the loop: score the centres the last step moved
+        d2 = squared_distances(points, centers)
+        new_assign = d2.argmin(axis=1)
+    return new_assign, float(d2[np.arange(points.shape[0]), new_assign].sum())
 
 
-def kmeans(points, k, seed=0, restarts=10):
-    """Best-of-restarts Lloyd iterations with k-means++ seeding."""
+def kmeans(points, k, seed=0):
+    """Best of 10 Lloyd runs, each from its own k-means++ seeding."""
     points = np.asarray(points, dtype=np.float64)
-    for name, value in (("k", k), ("restarts", restarts)):
-        check_number(name, value, numbers.Integral)
-        if value <= 0:
-            raise ConfigurationError(f"{name} must be positive, got {value}")
+    check_number("k", k, numbers.Integral)
+    if k <= 0:
+        raise ConfigurationError(f"k must be positive, got {k}")
     check_number("seed", seed, numbers.Integral)
     if seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {seed}")
@@ -126,7 +134,7 @@ def kmeans(points, k, seed=0, restarts=10):
         raise InputError("points must be finite (no NaN or inf)")
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(restarts):
+    for _ in range(10):
         centers = _plus_plus_seeds(points, k, rng)
         assign, inertia = _lloyd(points, centers)
         if best is None or inertia < best[1]:
@@ -219,14 +227,12 @@ def nmi(assignments, labels):
     return float(np.clip(info / np.sqrt(ha * hb), 0.0, 1.0))
 
 
-def evaluate_clustering(points, labels, k=None, seed=0, restarts=10):
-    """k-means plus ACC and NMI against the given labels."""
+def evaluate_clustering(points, labels, seed=0):
+    """k-means with one cluster per class, plus ACC and NMI against the given labels."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise InputError("labels must not be empty")
-    if k is None:
-        k = int(labels.max()) + 1
-    report = kmeans(points, k, seed=seed, restarts=restarts)
+    report = kmeans(points, int(labels.max()) + 1, seed=seed)
     report.acc = clustering_acc(report.assignments, labels)
     report.nmi = nmi(report.assignments, labels)
     return report

@@ -14,8 +14,8 @@ reconstruction error through frozen (optionally re-tuned) nets, so any
 subset of views yields a usable representation.
 
 The latent table, decoder set-up, masked residual and checkpoint layout
-live in `latent.py`, shared with the adversarial path; this module adds
-the margin term, centroids, re-tuning and test-time inference.
+live in `latent.py`, shared with the adversarial path, and class centroids in
+`metrics.py`; this module adds the margin term, re-tuning and test-time inference.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import InputError, TrainingError
+from .errors import InputError
 from .latent import (
     Checkpoint,
     LatentConfig,
@@ -40,7 +40,7 @@ from .latent import (
     save_checkpoint,
     squared_error,
 )
-from .metrics import classification_report
+from .metrics import class_centroids, classification_report
 from .nets import activations, backward, l2_penalty, sgd_step
 
 EARLY_STOP_WINDOW = 10
@@ -72,7 +72,7 @@ class TrainConfig(LatentConfig):
 
     def __post_init__(self):
         self._validate(("latent_dim", "epochs", "infer_iters", "infer_lr", "lam", "lr_nets",
-                        "lr_latent", "tol"), ("retune_epochs", "l2_coefficient"))
+                        "lr_latent", "tol"), ("retune_epochs", "l2_coefficient", "seed"))
 
 
 @dataclass
@@ -87,16 +87,6 @@ class SupervisedModel:
     @property
     def n_classes(self):
         return self.centroids.shape[0]
-
-
-def class_centroids(h, labels, n_classes):
-    centroids = np.empty((n_classes, h.shape[1]))
-    for c in range(n_classes):
-        members = labels == c
-        if not members.any():
-            raise TrainingError(f"class {c} has no samples to form a centroid")
-        centroids[c] = h[members].mean(axis=0)
-    return centroids
 
 
 def classification_loss(latent, labels, centroids):

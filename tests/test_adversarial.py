@@ -71,6 +71,8 @@ def test_config_validation():
         GanConfig(adv_weight=-0.5)
     with pytest.raises(ConfigurationError):
         GanConfig(d_steps=0)
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        GanConfig(seed=-1)
     GanConfig(adv_weight=0.0)  # the no-adversary ablation is legal
 
 

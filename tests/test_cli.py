@@ -211,6 +211,32 @@ def test_sweep_records_cell_failures_and_continues(tmp_path):
     assert rep["failures"] == 2 and rep["rows"] == 2
 
 
+def test_sweep_collapses_repeated_grid_entries(complete_dir, tmp_path):
+    def sweep(out, methods, rates):
+        return run_cli("sweep", "--data", complete_dir / "dataset.json", "--methods", methods,
+                       "--rates", rates, "--repeats", 1, "--out", out)
+
+    assert sweep(tmp_path / "twice", "mean-fill,class-fill,mean-fill", "0.3,0.1,0.30") == 0
+    assert sweep(tmp_path / "once", "mean-fill,class-fill", "0.3,0.1") == 0
+    csv_bytes = (tmp_path / "twice" / "sweep.csv").read_bytes()
+    assert csv_bytes == (tmp_path / "once" / "sweep.csv").read_bytes()
+    assert len(csv_bytes.splitlines()) == 5  # header + 2 methods x 2 rates
+    rep = report_of(tmp_path / "twice")
+    assert rep["methods"] == ["mean-fill", "class-fill"] and rep["rates"] == [0.3, 0.1]
+
+
+def test_sweep_refuses_masked_data_at_a_rate_above_0(masked_dir, tmp_path, capsys):
+    manifest = masked_dir / "dataset.json"
+    flags = ["--methods", "mean-fill,class-fill", "--repeats", 1]
+    out = tmp_path / "x"
+    assert run_cli("sweep", "--data", manifest, "--rates", "0,0.3", *flags, "--out", out) == 2
+    assert str(manifest) in capsys.readouterr().err
+    assert not out.exists()  # stopped before any cell ran
+    # rate 0 masks nothing, so a masked dataset sweeps as it is
+    assert run_cli("sweep", "--data", manifest, "--rates", "0", *flags, "--out", out) == 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 3
+
+
 def test_sweep_unknown_method_exits_2(complete_dir, tmp_path, capsys):
     rc = run_cli("sweep", "--data", complete_dir / "dataset.json",
                  "--methods", "sup,bogus", "--out", tmp_path / "x")
@@ -288,6 +314,19 @@ def test_mask_bad_rate_exits_2(complete_dir, tmp_path, capsys, command, eta):
     assert rc == 2
     assert "error: --eta" in capsys.readouterr().err
     assert not out.exists()  # checked before any masking or training
+
+
+@pytest.mark.parametrize("command", [
+    "synth", "mask", "train-sup", "train-unsup", "impute", "eval", "sweep"])
+def test_negative_seed_exits_2_in_every_command(complete_dir, tmp_path, capsys, command):
+    data = ["--data", complete_dir / "dataset.json"]
+    flags = {"synth": [], "mask": [*data, "--eta", 0.3],
+             "eval": ["--model", tmp_path / "no-model", *data]}.get(command, data)
+    out = tmp_path / "x"
+    rc = run_cli(command, *flags, "--seed", -1, "--out", out)
+    assert rc == 2
+    assert "error: --seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()  # checked before the command runs
 
 
 def test_missing_input_exits_3(tmp_path, capsys):

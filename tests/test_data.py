@@ -119,6 +119,26 @@ def test_missing_pattern_rejects_infeasible_rate():
         apply_missing_pattern(data, MissingSpec(0.6, seed=0))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"target_rate": "0.3"}, "target_rate must be a number"),
+    ({"target_rate": True}, "target_rate must be a number"),
+    ({"target_rate": float("nan")}, "target_rate must be finite"),
+    ({"target_rate": 0.3, "seed": 1.5}, "seed must be an integer"),
+    ({"target_rate": 0.3, "seed": None}, "seed must be an integer"),
+    ({"target_rate": 0.3, "seed": -1}, "seed must be >= 0"),
+])
+def test_missing_spec_rejects_bad_rate_and_seed(kwargs, message):
+    with pytest.raises(ConfigurationError, match=message):
+        MissingSpec(**kwargs)
+
+
+def test_missing_spec_accepts_numpy_numbers():
+    data = small_complete(n=20)
+    a = apply_missing_pattern(data, MissingSpec(np.float64(0.3), seed=np.int64(5)))
+    b = apply_missing_pattern(data, MissingSpec(0.3, seed=5))
+    assert np.array_equal(a.mask, b.mask)
+
+
 def test_missing_pattern_requires_complete_input():
     data = small_complete(n=20)
     once = apply_missing_pattern(data, MissingSpec(0.2, seed=0))

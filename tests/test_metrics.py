@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import pmvl
-from pmvl import baselines, metrics
+from pmvl import baselines
 from pmvl.baselines import concat_classify
 from pmvl.data import MultiViewDataset
 from pmvl.errors import ConfigurationError, InputError
@@ -61,12 +61,29 @@ def test_squared_distances_byte_equal_to_broadcast(n, k, d, kind, seed):
     assert got.tobytes() == broadcast_d2(points, centers).tobytes()
 
 
-def reference_kmeans(points, k, seed, restarts):
-    """kmeans as written with the broadcast distance tensor."""
+def reference_plus_plus_seeds(points, k, rng):
+    """k-means++ seeding as written with the broadcast distance tensor."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[rng.integers(n)]
+    d2 = broadcast_d2(points, centers[:1])[:, 0]
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[i] = points[rng.integers(n)]
+            continue
+        centers[i] = points[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, broadcast_d2(points, centers[i:i + 1])[:, 0])
+    return centers
+
+
+def reference_kmeans(points, k, seed):
+    """kmeans as written with the broadcast distance tensor: best of 10 seeded Lloyd
+    runs, each scored by distances computed again after its last step."""
     rng = np.random.default_rng(seed)
     best = None
-    for _ in range(restarts):
-        centers = metrics._plus_plus_seeds(points, k, rng)
+    for _ in range(10):
+        centers = reference_plus_plus_seeds(points, k, rng)
         assign = None
         for _ in range(300):
             d2 = broadcast_d2(points, centers)
@@ -98,8 +115,8 @@ def reference_kmeans(points, k, seed, restarts):
 def test_kmeans_equals_broadcast_reference(n, k, d, kind, seed):
     k = min(k, n)
     points = draw_matrix(np.random.default_rng(seed), n, d, kind)
-    rep = kmeans(points, k, seed=seed % 1000, restarts=3)
-    assign, inertia = reference_kmeans(points, k, seed % 1000, 3)
+    rep = kmeans(points, k, seed=seed % 1000)
+    assign, inertia = reference_kmeans(points, k, seed % 1000)
     assert np.array_equal(rep.assignments, assign)
     assert np.float64(rep.inertia).tobytes() == np.float64(inertia).tobytes()
 
@@ -204,23 +221,24 @@ def test_kmeans_deterministic_and_validates():
         kmeans(pts, 31)
 
 
-@pytest.mark.parametrize("run", [kmeans, evaluate_clustering])
-@pytest.mark.parametrize("kwargs, message", [
-    ({"k": 2.5}, "k must be an integer"),
-    ({"k": True}, "k must be an integer"),
-    ({"restarts": 2.5}, "restarts must be an integer"),
-    ({"restarts": False}, "restarts must be an integer"),
-    ({"restarts": 0}, "restarts must be positive"),
-    ({"restarts": -3}, "restarts must be positive"),
-    ({"seed": 2.5}, "seed must be an integer"),
-    ({"seed": None}, "seed must be an integer"),
-    ({"seed": -1}, "seed must be >= 0"),
+@pytest.mark.parametrize("run, kwargs, message", [
+    pytest.param(kmeans, {"k": 2.5}, "k must be an integer", id="kmeans-k=2.5"),
+    pytest.param(kmeans, {"k": True}, "k must be an integer", id="kmeans-k=True"),
+    pytest.param(kmeans, {"k": 2, "seed": 2.5}, "seed must be an integer", id="kmeans-seed=2.5"),
+    pytest.param(kmeans, {"k": 2, "seed": None}, "seed must be an integer", id="kmeans-seed=None"),
+    pytest.param(kmeans, {"k": 2, "seed": -1}, "seed must be >= 0", id="kmeans-seed=-1"),
+    pytest.param(evaluate_clustering, {"seed": 2.5}, "seed must be an integer",
+                 id="evaluate_clustering-seed=2.5"),
+    pytest.param(evaluate_clustering, {"seed": None}, "seed must be an integer",
+                 id="evaluate_clustering-seed=None"),
+    pytest.param(evaluate_clustering, {"seed": -1}, "seed must be >= 0",
+                 id="evaluate_clustering-seed=-1"),
 ])
-def test_clustering_rejects_bad_k_and_restarts(run, kwargs, message):
+def test_clustering_rejects_bad_k_and_seed(run, kwargs, message):
     pts = np.random.default_rng(3).normal(size=(10, 2))
     args = (pts, np.arange(10) % 2) if run is evaluate_clustering else (pts,)
     with pytest.raises(ConfigurationError, match=message):
-        run(*args, **{"k": 2, **kwargs})
+        run(*args, **kwargs)
 
 
 @pytest.mark.parametrize("run", [kmeans, evaluate_clustering])
@@ -235,8 +253,8 @@ def test_clustering_rejects_non_finite_points(run, bad):
 
 def test_kmeans_accepts_numpy_integers():
     pts = np.random.default_rng(5).normal(size=(10, 2))
-    a = kmeans(pts, np.int64(3), seed=1, restarts=np.int32(2))
-    b = kmeans(pts, 3, seed=1, restarts=2)
+    a = kmeans(pts, np.int64(3), seed=np.int32(1))
+    b = kmeans(pts, 3, seed=1)
     assert np.array_equal(a.assignments, b.assignments) and a.inertia == b.inertia
 
 

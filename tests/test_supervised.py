@@ -208,6 +208,8 @@ def test_config_validation():
         TrainConfig(hidden_dims=(8, 0))
     with pytest.raises(ConfigurationError):
         TrainConfig(retune_epochs=-1)
+    with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
 
 
 def test_config_roundtrip():
