@@ -278,8 +278,7 @@ def cmd_impute(args):
     if args.truth:
         truth = load_dataset(args.truth)
         if (data.mask == 0).any():
-            report = nrmse(filled.views, truth.views, data.mask == 0)
-            payload["nrmse"] = report.to_dict()
+            payload["nrmse"] = nrmse(filled.views, truth.views, data.mask == 0).to_dict()
     _write_report(out, payload)
     print(manifest)
     return 0
@@ -298,9 +297,10 @@ def cmd_eval(args):
 
 def _sweep_cell(data, method, eta, seed, sup_settings, gan_settings, train_frac):
     """One (method, eta, seed) run; returns rows of (metric, value)."""
-    masked = data
+    # at rate 0 the cell masks nothing, and a slot masked before holds no truth to score
+    masked, truth = data, None
     if eta > 0:
-        masked = apply_missing_pattern(data, MissingSpec(eta, seed=seed))
+        masked, truth = apply_missing_pattern(data, MissingSpec(eta, seed=seed)), data
     if method in ("sup", "sup-noretune"):
         tr, te = split(masked, train_frac, seed=seed)
         _, report = _sup_pipeline(tr, te, TrainConfig(seed=seed, **sup_settings), method == "sup")
@@ -315,7 +315,7 @@ def _sweep_cell(data, method, eta, seed, sup_settings, gan_settings, train_frac)
         settings = dict(gan_settings)
         if method == "unsup-nogan":
             settings["adv_weight"] = 0.0
-        _, result, clustering = _unsup_pipeline(masked, GanConfig(seed=seed, **settings), data)
+        _, result, clustering = _unsup_pipeline(masked, GanConfig(seed=seed, **settings), truth)
         rows = []
         if result.overall_nrmse is not None:
             rows.append(("nrmse", result.overall_nrmse))
@@ -327,9 +327,9 @@ def _sweep_cell(data, method, eta, seed, sup_settings, gan_settings, train_frac)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             filled = impute_baseline(masked, kind)
-        if not (masked.mask == 0).any():
+        if truth is None or not (masked.mask == 0).any():
             return []
-        report = nrmse(filled.views, data.views, masked.mask == 0)
+        report = nrmse(filled.views, truth.views, masked.mask == 0)
         return [("nrmse", report.overall)]
     raise ConfigurationError(f"unknown sweep method '{method}'")
 
@@ -471,13 +471,13 @@ def build_parser():
     p.add_argument("--rank", type=int)
     p.add_argument("--shrinkage", type=float)
     p.add_argument("--truth")
-    _add_common(p, preset=False)
+    p.add_argument("--out", required=True, help="output directory")  # no --seed: no draws
     p.set_defaults(fn=cmd_impute)
 
     p = sub.add_parser("eval", help="evaluate a supervised checkpoint on a dataset")
     p.add_argument("--model", required=True, help="checkpoint directory or manifest")
     p.add_argument("--data", required=True)
-    _add_common(p, preset=False)
+    p.add_argument("--out", required=True, help="output directory")  # no --seed: no draws
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("sweep", help="missing-rate grid over methods, long-format CSV")
@@ -495,7 +495,7 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except PmvlError as exc:

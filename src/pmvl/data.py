@@ -1,12 +1,14 @@
 """Multi-view datasets with availability masks.
 
 A dataset is V per-view feature matrices sharing N rows, an N x V binary
-mask (1 = the sample has that view), optional integer labels, and view
-names. Views are float64 and finite: a NaN or inf anywhere, under a mask
-zero too, raises an InputError naming the view, row and column. Entries
-under mask zeros are stored as zeros (`load_csv_views` writes them, so a CSV
-may hold NaN for "missing" there); no loss or gradient in this package ever
-reads them.
+mask (1 = the sample has that view), optional labels, and view names.
+Labels are nonnegative integers and n_classes is their max + 1, so a subset
+may lack classes: training needs every class it counts, and evaluation needs
+labels below the model's class count. Views are float64 and finite: a NaN or
+inf anywhere, under a mask zero too, raises an InputError naming the view,
+row and column. Entries under mask zeros are stored as zeros (`load_csv_views`
+writes them, so a CSV may hold NaN for "missing" there); no loss or gradient
+in this package ever reads them.
 
 The missing-pattern generator removes a targeted fraction of (sample, view)
 slots uniformly at random while guaranteeing every sample keeps at least
@@ -76,9 +78,6 @@ class MultiViewDataset:
             self.labels = labels.astype(np.int64)
             if self.labels.min() < 0:
                 raise InputError("labels must be nonnegative")
-            present = np.unique(self.labels)
-            if not np.array_equal(present, np.arange(self.labels.max() + 1)):
-                raise InputError("labels must cover 0..C-1 without gaps")
         if self.view_names is None:
             self.view_names = [f"view_{i}" for i in range(len(self.views))]
 
@@ -155,8 +154,6 @@ def apply_missing_pattern(data, spec):
             f"rate {spec.target_rate} infeasible with {v} views: every sample keeps one view"
         )
     out = data.copy()
-    if total == 0:
-        return out
     rng = np.random.default_rng(spec.seed)
     slots = rng.permutation(n * v)
     kept = np.full(n, v)
@@ -353,7 +350,7 @@ def split(data, train_fraction, seed=0):
         train_idx, test_idx = order[:cut], order[cut:]
     else:
         train_parts, test_parts = [], []
-        for c in range(data.n_classes):
+        for c in np.unique(data.labels):
             members = np.flatnonzero(data.labels == c)
             if members.size < 2:
                 raise SplitError(f"class {c} has {members.size} sample(s); need at least 2")

@@ -228,11 +228,11 @@ def nmi(assignments, labels):
 
 
 def evaluate_clustering(points, labels, seed=0):
-    """k-means with one cluster per class, plus ACC and NMI against the given labels."""
+    """k-means with one cluster per class present, plus ACC and NMI against the labels."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise InputError("labels must not be empty")
-    report = kmeans(points, int(labels.max()) + 1, seed=seed)
+    report = kmeans(points, np.unique(labels).size, seed=seed)
     report.acc = clustering_acc(report.assignments, labels)
     report.nmi = nmi(report.assignments, labels)
     return report

@@ -226,9 +226,12 @@ def infer_latents(model, data):
 
 def evaluate(model, test_data):
     """Infer a latent per test row, take the centroid with the highest dot product
-    (ties go to the smaller class id), and score against labels."""
+    (ties go to the smaller class id), and score against labels below the class count."""
     if test_data.labels is None:
         raise InputError("evaluation needs labeled test data")
+    if test_data.n_classes > model.n_classes:
+        raise InputError(f"test label {test_data.n_classes - 1} is not one of the model's "
+                         f"{model.n_classes} classes")
     h = infer_latents(model, test_data)
     preds = np.argmax(h @ model.centroids.T, axis=1)
     return classification_report(preds, test_data.labels)

@@ -232,9 +232,25 @@ def test_sweep_refuses_masked_data_at_a_rate_above_0(masked_dir, tmp_path, capsy
     assert run_cli("sweep", "--data", manifest, "--rates", "0,0.3", *flags, "--out", out) == 2
     assert str(manifest) in capsys.readouterr().err
     assert not out.exists()  # stopped before any cell ran
-    # rate 0 masks nothing, so a masked dataset sweeps as it is
+    # rate 0 masks nothing, so a masked dataset sweeps as it is: with no truth under
+    # its masked slots, the fill cells score nothing
     assert run_cli("sweep", "--data", manifest, "--rates", "0", *flags, "--out", out) == 0
-    assert len((out / "sweep.csv").read_text().splitlines()) == 3
+    assert (out / "sweep.csv").read_text().splitlines() == ["method,eta,seed,metric,value"]
+    assert (out / "failures.csv").read_text().splitlines() == ["method,eta,seed,error"]
+
+
+def test_sweep_at_rate_0_writes_no_nrmse(masked_dir, tmp_path):
+    # zeros stand under a masked dataset's hidden slots, not the values a fill should match
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"latent_dim": 3, "hidden_dims": [4], "infer_iters": 5}))
+    out = tmp_path / "sw"
+    assert run_cli("sweep", "--data", masked_dir / "dataset.json", "--rates", "0",
+                   "--methods", "sup,unsup-nogan,mean-fill,class-fill,svd-fill",
+                   "--repeats", 1, "--epochs", 5, "--config", cfg, "--out", out) == 0
+    rows = [ln.split(",") for ln in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [(r[0], r[3]) for r in rows] == [
+        ("sup", "accuracy"), ("unsup-nogan", "acc"), ("unsup-nogan", "nmi")]
+    assert len((out / "failures.csv").read_text().splitlines()) == 1
 
 
 def test_sweep_unknown_method_exits_2(complete_dir, tmp_path, capsys):
@@ -306,6 +322,41 @@ def test_eval_on_data_with_other_views_exits_2(model_6_5, tmp_path, capsys, view
     assert all(w in err for w in words), err
 
 
+def relabelled(complete_dir, out_dir, rows, labels=None):
+    """The rows of the complete dataset, saved with the given labels (default: their own)."""
+    data = load_dataset(complete_dir / "dataset.json").take(rows)
+    if labels is not None:
+        data = MultiViewDataset(data.views, data.mask, labels)
+    return save_dataset(data, out_dir, name="dataset")
+
+
+def test_eval_on_a_labelled_file_lacking_class_1_exits_0(model_6_5, complete_dir, tmp_path):
+    labels = load_dataset(complete_dir / "dataset.json").labels
+    rows = np.flatnonzero(labels != 1)
+    manifest = relabelled(complete_dir, tmp_path / "data", rows)
+    assert run_cli("eval", "--model", model_6_5, "--data", manifest, "--out", tmp_path / "ev") == 0
+    rep = report_of(tmp_path / "ev")
+    assert rep["n"] == rows.size
+    assert sum(rep["confusion"][1]) == 0
+
+
+def test_eval_on_a_label_the_model_lacks_exits_2(model_6_5, complete_dir, tmp_path, capsys):
+    manifest = relabelled(complete_dir, tmp_path / "data", [0, 1, 2], labels=[0, 3, 1])
+    rc = run_cli("eval", "--model", model_6_5, "--data", manifest, "--out", tmp_path / "ev")
+    assert rc == 2
+    assert "test label 3 is not one of the model's 3 classes" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_train_sup_on_labels_lacking_class_1_exits_2_naming_it(complete_dir, tmp_path, capsys):
+    labels = load_dataset(complete_dir / "dataset.json").labels
+    manifest = relabelled(complete_dir, tmp_path / "data", np.flatnonzero(labels != 1))
+    rc = run_cli("train-sup", "--data", manifest, "--epochs", 5, "--repeats", 1,
+                 "--latent-dim", 3, "--hidden-dims", "4", "--out", tmp_path / "sup")
+    assert rc == 2
+    assert "class 1 has no samples" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("eta", ["1.5", "-0.5", "nan"])
 @pytest.mark.parametrize("command", ["mask", "train-sup", "train-unsup"])
 def test_mask_bad_rate_exits_2(complete_dir, tmp_path, capsys, command, eta):
@@ -317,16 +368,28 @@ def test_mask_bad_rate_exits_2(complete_dir, tmp_path, capsys, command, eta):
 
 
 @pytest.mark.parametrize("command", [
-    "synth", "mask", "train-sup", "train-unsup", "impute", "eval", "sweep"])
+    "synth", "mask", "train-sup", "train-unsup", "sweep"])
 def test_negative_seed_exits_2_in_every_command(complete_dir, tmp_path, capsys, command):
     data = ["--data", complete_dir / "dataset.json"]
-    flags = {"synth": [], "mask": [*data, "--eta", 0.3],
-             "eval": ["--model", tmp_path / "no-model", *data]}.get(command, data)
+    flags = {"synth": [], "mask": [*data, "--eta", 0.3]}.get(command, data)
     out = tmp_path / "x"
     rc = run_cli(command, *flags, "--seed", -1, "--out", out)
     assert rc == 2
     assert "error: --seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()  # checked before the command runs
+
+
+@pytest.mark.parametrize("command", ["impute", "eval"])
+def test_seed_is_refused_by_commands_that_draw_nothing_random(complete_dir, tmp_path, capsys,
+                                                              command):
+    data = ["--data", complete_dir / "dataset.json"]
+    flags = {"eval": ["--model", tmp_path / "no-model", *data]}.get(command, data)
+    out = tmp_path / "x"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *flags, "--seed", 5, "--out", out)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_input_exits_3(tmp_path, capsys):

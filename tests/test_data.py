@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmvl.data import (
     MissingSpec,
@@ -33,10 +35,18 @@ def test_dataset_validation_rejects_empty_row():
         MultiViewDataset([np.zeros((4, 2)), np.zeros((4, 3))], mask)
 
 
-def test_dataset_validation_rejects_label_gap():
-    views = [np.zeros((4, 2))]
-    with pytest.raises(InputError):
-        MultiViewDataset(views, np.ones((4, 1)), labels=np.array([0, 0, 2, 2]))
+LABELLED = synth_dataset(12, 3, 2, [3], seed=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.integers(0, LABELLED.n_samples - 1), min_size=1, unique=True))
+def test_take_of_any_row_subset_builds(rows):
+    # labels need only be nonnegative: a subset may lack any class, a middle one too
+    part = LABELLED.take(rows)
+    assert np.array_equal(part.labels, LABELLED.labels[rows])
+    assert part.n_classes == part.labels.max() + 1
+    for got, view in zip(part.views, LABELLED.views):
+        assert np.array_equal(got, view[rows])
 
 
 @pytest.mark.parametrize("labels, bad", [([0, 1.5, 1, 0], "row 1 holds 1.5"),
@@ -305,6 +315,22 @@ def test_split_stratified_and_disjoint():
     train2, _ = split(data, 0.8, seed=3)
     assert np.array_equal(train.labels, train2.labels)
     assert np.array_equal(train.views[0], train2.views[0])
+
+
+@pytest.mark.parametrize("absent", [0, 1, 2])
+def test_split_of_a_subset_lacking_a_class_stratifies_over_the_classes_present(absent):
+    data = small_complete(n=30)  # 10 rows per class
+    part = data.take(np.flatnonzero(data.labels != absent))
+    train, test = split(part, 0.8, seed=3)
+    for c in {0, 1, 2} - {absent}:
+        assert ((train.labels == c).sum(), (test.labels == c).sum()) == (8, 2)
+    assert absent not in train.labels and absent not in test.labels
+    # the same rows as a split of the same subset with its labels renumbered 0..C-1
+    _, compact = np.unique(part.labels, return_inverse=True)
+    renumbered = MultiViewDataset(part.views, part.mask, compact)
+    train_c, test_c = split(renumbered, 0.8, seed=3)
+    assert np.array_equal(train.views[0], train_c.views[0])
+    assert np.array_equal(test.views[0], test_c.views[0])
 
 
 def test_split_rejects_bad_fraction_and_tiny_class():

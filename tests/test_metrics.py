@@ -175,6 +175,12 @@ def test_import_leaves_scipy_optimize_unloaded():
     assert done.stdout.split() == ["False", "[]", str(4 / 5), "[]"]
 
 
+def test_evaluate_clustering_makes_one_cluster_per_class_present():
+    report = evaluate_clustering([[0.0], [0.1], [5.0], [5.1]], [0, 0, 3, 3])
+    assert sorted(set(report.assignments)) == [0, 1]
+    assert report.acc == 1.0 and report.nmi == 1.0
+
+
 def test_classification_report_counts():
     labels = np.array([0, 0, 1, 1, 2, 2])
     preds = np.array([0, 1, 1, 1, 2, 0])

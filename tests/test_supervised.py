@@ -13,6 +13,7 @@ from pmvl.data import (
 from pmvl.errors import ConfigurationError, DimensionError, InputError, TrainingError
 from pmvl.latent import (
     LatentTable,
+    init_latent_model,
     latent_pullback,
     reconstruction_loss,
     residual,
@@ -248,6 +249,13 @@ def test_train_requires_labels():
         train(data, small_config())
 
 
+def test_train_on_labels_lacking_a_class_names_it():
+    data = synth_dataset(30, 3, 4, [6, 5], seed=0, noise_scale=0.05)
+    data = data.take(np.flatnonzero(data.labels != 1))  # labels {0, 2}: 3 classes counted
+    with pytest.raises(TrainingError, match="class 1 has no samples"):
+        train(data, small_config(epochs=5))
+
+
 def test_train_divergence_raises():
     data = synth_dataset(30, 2, 4, [6, 5], seed=2, noise_scale=0.05)
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(TrainingError):
@@ -264,6 +272,47 @@ def test_train_convex_subcase_trace_never_rises():
     model = train(data, cfg)
     diffs = np.diff(model.objective_trace)
     assert (diffs <= 1e-9).all()
+
+
+def reference_train(data, config):
+    """train's loop with every net evaluated afresh: (latents, nets, centroids, trace)."""
+    n, labels = data.n_samples, data.labels
+    latent, nets, _ = init_latent_model(data, config, config.l2_coefficient)
+    h = latent.H
+    trace = []
+    for _ in range(config.epochs):
+        centroids = class_centroids(h, labels, data.n_classes)
+        for net, r in zip(nets, residuals(nets, h, data.views, data.mask)):
+            sgd_step(net, backward(net, h, (2.0 / n) * r), config.lr_nets)
+        res = residuals(nets, h, data.views, data.mask)
+        g = latent_pullback(nets, h, [2.0 * r for r in res])
+        predicted = (h @ centroids.T).argmax(axis=1)
+        mis = predicted != labels
+        g[mis] += config.lam * (centroids[predicted[mis]] - centroids[labels[mis]])
+        h = h - config.lr_latent * g
+        trace.append(reconstruction_loss(nets, LatentTable(h), data)
+                     + config.lam * classification_loss(LatentTable(h), labels, centroids)
+                     + sum(l2_penalty(net) for net in nets))
+        prev = trace[-11] if len(trace) > 10 else None  # the objective 10 epochs back
+        if prev is not None and abs(prev - trace[-1]) < config.tol * max(abs(prev), 1e-12):
+            break
+    return h, nets, class_centroids(h, labels, data.n_classes), trace
+
+
+@pytest.mark.parametrize("epochs, tol, stops_early", [(25, 1e-300, False), (200, 1e-2, True)])
+def test_train_is_byte_equal_to_the_reference_loop(epochs, tol, stops_early):
+    data = apply_missing_pattern(synth_dataset(30, 3, 4, [6, 5], seed=14, noise_scale=0.05),
+                                 MissingSpec(0.3, seed=14))
+    cfg = small_config(epochs=epochs, tol=tol)
+    model = train(data, cfg)
+    h, nets, centroids, trace = reference_train(data, cfg)
+    assert (len(trace) < epochs) == stops_early
+    assert model.objective_trace == trace
+    assert model.latent.H.tobytes() == h.tobytes()
+    assert model.centroids.tobytes() == centroids.tobytes()
+    for a, b in zip(model.recon_nets, nets):
+        for pa, pb in zip(a.weights + a.biases, b.weights + b.biases):
+            assert pa.tobytes() == pb.tobytes()
 
 
 # -------------------------------------------------------------- retuning
@@ -401,9 +450,8 @@ def test_infer_latents_matches_per_sample_calls():
     model = train(masked, small_config(epochs=20))
     model = with_infer_iters(retune(model, masked), 40)
     batch = infer_latents(model, masked)
-    rows = MultiViewDataset(masked.views, masked.mask)  # a lone row's label would leave gaps
     for i in range(masked.n_samples):
-        one = infer_latents(model, rows.take([i]))
+        one = infer_latents(model, masked.take([i]))
         assert np.allclose(one[0], batch[i], atol=1e-12)
 
 
@@ -499,6 +547,22 @@ def test_evaluate_reports_match_oracle_recount():
     preds = np.array([np.argmax([c @ row for c in model.centroids]) for row in h])
     assert report.accuracy == np.mean(preds == te.labels)
     assert report.confusion.sum() == te.n_samples
+
+
+def test_evaluate_scores_a_test_set_lacking_a_class():
+    data = synth_dataset(60, 3, 4, [6, 5], seed=12, noise_scale=0.05)
+    tr, te = split(data, 0.7, seed=12)
+    model = retune(train(tr, small_config(epochs=20)), tr)
+    te = te.take(np.flatnonzero(te.labels != 1))
+    report = evaluate(model, te)
+    assert report.n == te.n_samples
+    assert report.confusion[1].sum() == 0
+
+
+def test_evaluate_refuses_a_label_beyond_the_models_classes():
+    model = make_identity_model(2)  # 2 classes
+    with pytest.raises(InputError, match="test label 2 is not one of the model's 2 classes"):
+        evaluate(model, rows_dataset(TARGET, labels=[0, 2]))
 
 
 def test_evaluate_requires_labels():
