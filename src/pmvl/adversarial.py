@@ -255,14 +255,9 @@ def impute(model, data, truth=None):
         raise InputError(
             f"dataset has {data.n_samples} rows, model carries {model.latent.n_rows} latents"
         )
-    completed = data.copy()
-    for v, fill in enumerate(generator_fills(model, data)):
-        if fill is not None:
-            completed.views[v][data.mask[:, v] == 0] = fill
-    completed.mask = np.ones_like(data.mask)
-    result = ImputationResult(completed)
+    result = ImputationResult(data.filled(generator_fills(model, data)))
     if truth is not None and (data.mask == 0).any():
-        report = nrmse(completed.views, truth.views, data.mask == 0)
+        report = nrmse(result.completed.views, truth.views, data.mask == 0)
         result.per_view_nrmse = report.per_view
         result.overall_nrmse = report.overall
     return result

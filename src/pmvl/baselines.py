@@ -17,7 +17,6 @@ import numpy as np
 
 from . import _blas
 from ._stripes import map_striped
-from .data import MultiViewDataset
 from .errors import ConfigurationError, InputError, check_number
 from .metrics import class_centroids, classification_report, squared_distances
 
@@ -63,42 +62,29 @@ def _column_means(x, observed):
 
 
 def impute_global_mean(data):
-    out = data.copy()
-    for v in range(out.n_views):
-        obs = out.mask[:, v].astype(bool)
-        fill = _column_means(out.views[v], obs)
-        out.views[v][~obs] = fill
-    out.mask[:] = 1
-    return out
+    return data.filled([_column_means(x, data.mask[:, v] == 1) for v, x in enumerate(data.views)])
 
 
 def impute_class_mean(data):
     if data.labels is None:
         raise InputError("class-mean imputation needs labels")
-    out = data.copy()
-    fallbacks = 0
-    for v in range(out.n_views):
-        obs = out.mask[:, v].astype(bool)
-        global_fill = _column_means(out.views[v], obs)
-        for c in range(out.n_classes):
-            members = out.labels == c
-            seen = obs & members
-            gone = ~obs & members
-            if not gone.any():
-                continue
-            if seen.any():
-                out.views[v][gone] = out.views[v][seen].mean(axis=0)
-            else:
-                out.views[v][gone] = global_fill
-                fallbacks += 1
+    fills, fallbacks = [], 0
+    for v, x in enumerate(data.views):
+        obs = data.mask[:, v] == 1
+        rows = np.empty((int((~obs).sum()), x.shape[1]))
+        gone = data.labels[~obs]
+        for c in np.unique(gone):
+            seen = obs & (data.labels == c)
+            fallbacks += not seen.any()
+            rows[gone == c] = _column_means(x, seen if seen.any() else obs)
+        fills.append(rows)
     if fallbacks:
         warnings.warn(
             f"class-mean imputation fell back to the global mean for {fallbacks} "
             "class/view cells with no observation",
             stacklevel=2,
         )
-    out.mask[:] = 1
-    return out
+    return data.filled(fills)
 
 
 def _masked_column_means(x, observed):
@@ -176,7 +162,7 @@ def _pick_shrinkage(x, observed, params):
 
 
 def _fit_view(x, obs_rows, params):
-    """Soft-impute one view whose rows are observed or missing whole."""
+    """Soft-impute one view whose rows are observed or missing whole; returns the missing rows."""
     entry_mask = np.repeat(obs_rows[:, None], x.shape[1], axis=1)
     if params.rank is None:
         # full-rank zero-shrinkage refill would stall at the column
@@ -188,12 +174,14 @@ def _fit_view(x, obs_rows, params):
             iters=params.iters,
         )
     filled, _ = soft_impute_matrix(x, entry_mask, params)
-    filled[obs_rows] = x[obs_rows]
-    return filled
+    return filled[~obs_rows]
 
 
 def impute_svd(data, params=None):
     """Soft-impute each view; a view's row mask expands to all its entries.
+
+    Each view with a masked row is fitted alone; `MultiViewDataset.filled`
+    writes the fitted missing rows into a new dataset.
 
     When at least two views that need a fill are WIDE_VIEW_COLUMNS (32) or
     more columns wide, `map_striped` fits the views in groups, in view order,
@@ -219,7 +207,6 @@ def impute_svd(data, params=None):
     params = params or SvdParams()
     observed = data.mask.astype(bool)
     todo = [v for v in range(data.n_views) if not observed[:, v].all()]
-    views = [None if v in todo else x.copy() for v, x in enumerate(data.views)]
 
     def fit_group(group):
         # stops at the group's first failing view, so map_striped's first
@@ -233,11 +220,11 @@ def impute_svd(data, params=None):
         side = max(wide, key=lambda v: data.views[v].shape[1])
         groups = [g for g in ([v for v in todo if v < side], [side],
                               [v for v in todo if v > side]) if g]
-    for group, filled in zip(groups, map_striped(fit_group, groups)):
-        for v, x in zip(group, filled):
-            views[v] = x
-    return MultiViewDataset(views, np.ones_like(data.mask), None if data.labels is None
-                            else data.labels.copy(), list(data.view_names))
+    fills = [None] * data.n_views
+    for group, rows in zip(groups, map_striped(fit_group, groups)):
+        for v, fill in zip(group, rows):
+            fills[v] = fill
+    return data.filled(fills)
 
 
 def impute_baseline(data, kind, svd_params=None):

@@ -2,6 +2,8 @@
 
 A dataset is V per-view feature matrices sharing N rows, an N x V binary
 mask (1 = the sample has that view), optional labels, and view names.
+Every dataset is built by the checked constructor, and `filled` is the one
+completion step.
 Labels are nonnegative integers and n_classes is their max + 1, so a subset
 may lack classes: training needs every class it counts, and evaluation needs
 labels below the model's class count. Views are float64 and finite: a NaN or
@@ -57,6 +59,8 @@ class MultiViewDataset:
                 row, col = np.argwhere(bad)[0]
                 raise InputError(f"view {i} row {row} column {col} holds {v[row, col]}; "
                                  "views hold finite numbers, 0 under a masked slot")
+        if n == 0:
+            raise InputError("dataset has no rows")
         self.mask = np.asarray(self.mask)
         if self.mask.shape != (n, len(self.views)):
             raise InputError(f"mask shape {self.mask.shape} vs ({n}, {len(self.views)})")
@@ -97,14 +101,16 @@ class MultiViewDataset:
     def view_dims(self):
         return [v.shape[1] for v in self.views]
 
-    def copy(self):
-        """An independent copy, not checked again: this dataset was checked when built."""
-        out = object.__new__(type(self))
-        out.views = [v.copy() for v in self.views]
-        out.mask = self.mask.copy()
-        out.labels = None if self.labels is None else self.labels.copy()
-        out.view_names = list(self.view_names)
-        return out
+    def filled(self, fills):
+        """A new dataset with fills[v] under view v's masked slots and an all-ones mask.
+
+        fills[v] is one row per masked row in row order, one row for all, or None if none is.
+        """
+        views = [x.copy() for x in self.views]
+        for v, fill in enumerate(fills):
+            if fill is not None:
+                views[v][self.mask[:, v] == 0] = fill
+        return MultiViewDataset(views, np.ones_like(self.mask), self.labels, list(self.view_names))
 
     def take(self, idx):
         """Row subset, in the given order."""
@@ -143,7 +149,7 @@ def apply_missing_pattern(data, spec):
     The input must be complete (all-ones mask). Slots are drawn by walking a
     random permutation of all (sample, view) pairs and dropping each visited
     slot unless that would empty its row, until the target count is reached.
-    Entries of newly masked slots are zeroed.
+    Entries of newly masked slots are zeroed in the new dataset.
     """
     n, v = data.n_samples, data.n_views
     if not (data.mask == 1).all():
@@ -153,9 +159,9 @@ def apply_missing_pattern(data, spec):
         raise ConfigurationError(
             f"rate {spec.target_rate} infeasible with {v} views: every sample keeps one view"
         )
-    out = data.copy()
     rng = np.random.default_rng(spec.seed)
     slots = rng.permutation(n * v)
+    mask = np.ones((n, v), dtype=np.uint8)
     kept = np.full(n, v)
     removed = 0
     for slot in slots:
@@ -165,10 +171,10 @@ def apply_missing_pattern(data, spec):
         if kept[row] <= 1:
             continue
         kept[row] -= 1
-        out.mask[row, col] = 0
-        out.views[col][row, :] = 0.0
+        mask[row, col] = 0
         removed += 1
-    return out
+    views = [np.where(mask[:, [c]] == 1, x, 0.0) for c, x in enumerate(data.views)]
+    return MultiViewDataset(views, mask, data.labels, list(data.view_names))
 
 
 def _read_csv(path, kind="float"):

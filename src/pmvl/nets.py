@@ -278,6 +278,8 @@ def load_net(path):
     try:
         dims = [int(d) for d in header["layer_dims"]]
         bin_path = path.parent / header["data_file"]
+        if bin_path != path.with_suffix(".bin"):  # save_net's name for it
+            raise ValueError(f"data_file {header['data_file']!r} is not {path.stem}.bin")
         activation, l2 = header["activation"], float(header["l2_coefficient"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: malformed net header ({exc!r})") from None

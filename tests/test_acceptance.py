@@ -314,7 +314,7 @@ def test_criterion_02_loss_invariants(capsys):
     margin_zero = classification_loss(latent, labels, centroids) == 0.0
 
     data, latent2, nets, labels2 = recon_instance(rng)
-    junk = data.copy()
+    junk = data.take(np.arange(data.n_samples))
     for v in range(junk.n_views):
         junk.views[v][junk.mask[:, v] == 0] = 1e6
     cent2 = class_centroids(latent2.H, labels2, 2)
@@ -335,7 +335,7 @@ def test_criterion_02_loss_invariants(capsys):
                 ref = bundle
 
     model, gdata = adversarial_instance(np.random.default_rng(9))
-    gjunk = gdata.copy()
+    gjunk = gdata.take(np.arange(gdata.n_samples))
     for v in range(gjunk.n_views):
         gjunk.views[v][gjunk.mask[:, v] == 0] = -1e6
     masked_inert &= np.array_equal(latent_gradient(model, gdata),

@@ -4,12 +4,16 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmvl import _blas, baselines
+from pmvl.adversarial import GanConfig, impute, train_unsupervised
 from pmvl.baselines import (
     CLASS_MEAN,
     GLOBAL_MEAN,
@@ -179,12 +183,50 @@ def test_svd_imputer_completes_and_is_deterministic():
         assert np.array_equal(va, vb)
 
 
+def dataset_bytes(data):
+    return ([x.tobytes() for x in data.views], data.mask.tobytes(), data.labels.tobytes(),
+            list(data.view_names))
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 30), dims=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+       share=st.floats(0.0, 1.0), hide_class_0=st.booleans(), seed=st.integers(0, 999))
+def test_every_imputer_fills_only_masked_slots(n, dims, share, hide_class_0, seed):
+    # share scales the rate up to the feasible most; hide_class_0 leaves class 0
+    # without a single observation of view 0, so class-mean falls back there
+    data = synth_dataset(n, 3, 2, dims, seed=seed)
+    rate = share * (len(dims) - 1) / len(dims)
+    mask = apply_missing_pattern(data, MissingSpec(rate, seed=seed)).mask.copy()
+    hide_class_0 &= len(dims) > 1
+    if hide_class_0:
+        mask[data.labels == 0, :2] = (0, 1)
+    masked = MultiViewDataset([np.where(mask[:, [v]] == 1, x, 0.0)
+                               for v, x in enumerate(data.views)], mask, data.labels)
+    before = dataset_bytes(masked)
+    model = train_unsupervised(masked, GanConfig(latent_dim=2, epochs=2, hidden_dims=(3,),
+                                                 seed=seed))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outs = {kind: impute_baseline(masked, kind, svd_params=SvdParams(iters=5))
+                for kind in (GLOBAL_MEAN, CLASS_MEAN, SVD)}
+    assert any("fell back" in str(w.message) for w in caught) or not hide_class_0
+    outs["adversarial"] = impute(model, masked).completed
+    for kind, out in outs.items():
+        assert dataset_bytes(masked) == before, kind
+        assert out.mask.dtype == np.uint8 and (out.mask == 1).all(), kind
+        assert np.array_equal(out.labels, masked.labels) and out.view_names == masked.view_names
+        for v, (got, x) in enumerate(zip(out.views, masked.views)):
+            seen = mask[:, v] == 1
+            assert got[seen].tobytes() == x[seen].tobytes(), (kind, v)
+            assert np.isfinite(got).all(), (kind, v)
+
+
 def serial_impute_svd(data, params=None):
     """Reference: every view fitted in order in this process."""
     params = params or SvdParams()
-    out = data.copy()
-    for v in range(out.n_views):
-        obs_rows = out.mask[:, v].astype(bool)
+    views = [x.copy() for x in data.views]
+    for v in range(data.n_views):
+        obs_rows = data.mask[:, v].astype(bool)
         if obs_rows.all():
             continue
         entry_mask = np.repeat(obs_rows[:, None], data.views[v].shape[1], axis=1)
@@ -196,10 +238,9 @@ def serial_impute_svd(data, params=None):
             )
         else:
             capped = params
-        out.views[v], _ = baselines.soft_impute_matrix(data.views[v], entry_mask, capped)
-        out.views[v][obs_rows] = data.views[v][obs_rows]
-    out.mask[:] = 1
-    return out
+        views[v], _ = baselines.soft_impute_matrix(data.views[v], entry_mask, capped)
+        views[v][obs_rows] = data.views[v][obs_rows]
+    return MultiViewDataset(views, np.ones_like(data.mask), data.labels, list(data.view_names))
 
 
 def recording_soft_impute(log):

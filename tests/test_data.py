@@ -49,6 +49,14 @@ def test_take_of_any_row_subset_builds(rows):
         assert np.array_equal(got, view[rows])
 
 
+@pytest.mark.parametrize("data", [LABELLED, MultiViewDataset(LABELLED.views, LABELLED.mask)],
+                         ids=["labelled", "unlabelled"])
+def test_dataset_validation_rejects_zero_rows(data):
+    # a labelled one has no label minimum, an unlabelled one no class count
+    with pytest.raises(InputError, match="no rows"):
+        data.take([])
+
+
 @pytest.mark.parametrize("labels, bad", [([0, 1.5, 1, 0], "row 1 holds 1.5"),
                                          ([0.0, 1.0, 0.0, np.nan], "row 3 holds nan")])
 def test_dataset_validation_rejects_non_integral_labels(labels, bad):
@@ -105,6 +113,56 @@ def test_missing_pattern_zeroes_hidden_entries():
         assert np.all(masked.views[v][gone] == 0.0)
         kept = ~gone
         assert np.array_equal(masked.views[v][kept], data.views[v][kept])
+
+
+def snapshot(data):
+    """Every byte a dataset holds, to check that a call left it as it was."""
+    return ([x.tobytes() for x in data.views], data.mask.tobytes(),
+            None if data.labels is None else data.labels.tobytes(), list(data.view_names))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 30), dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       rate=st.floats(0.0, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_missing_pattern_properties(n, dims, rate, seed):
+    data = synth_dataset(n, 3, 2, dims, seed=seed % 1000)
+    before = snapshot(data)
+    v = len(dims)
+    total = int(np.rint(rate * n * v))
+    if total > n * (v - 1):
+        with pytest.raises(ConfigurationError, match="infeasible"):
+            apply_missing_pattern(data, MissingSpec(rate, seed=seed))
+        assert snapshot(data) == before
+        return
+    masked = apply_missing_pattern(data, MissingSpec(rate, seed=seed))
+    assert snapshot(data) == before
+    assert masked.mask.dtype == np.uint8 and np.isin(masked.mask, (0, 1)).all()
+    assert (masked.mask.sum(axis=1) >= 1).all() and (masked.mask == 0).sum() == total
+    for c, (got, x) in enumerate(zip(masked.views, data.views)):
+        hidden = masked.mask[:, c] == 0
+        assert (got == 0).all(axis=1)[hidden].all()
+        assert got[~hidden].tobytes() == x[~hidden].tobytes()
+    assert np.array_equal(masked.labels, data.labels) and masked.view_names == data.view_names
+
+
+@settings(max_examples=80, deadline=None)
+@given(counts=st.lists(st.sampled_from([0, 2, 3, 4, 5, 9]), min_size=1, max_size=4),
+       labelled=st.booleans(), fraction=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_split_properties(counts, labelled, fraction, seed):
+    labels = np.repeat(np.arange(len(counts)), counts)
+    if labels.size < 2:
+        labels = np.array([0, 0])
+    rows = np.arange(labels.size, dtype=np.float64)[:, None]  # each row holds its own index
+    data = MultiViewDataset([rows], np.ones((labels.size, 1)), labels if labelled else None)
+    before = snapshot(data)
+    train, test = split(data, fraction, seed=seed)
+    assert snapshot(data) == before
+    ids = [part.views[0][:, 0].astype(int) for part in (train, test)]
+    assert min(map(len, ids)) >= 1 and sorted(np.concatenate(ids)) == list(range(labels.size))
+    if labelled:
+        for part, taken in zip((train, test), ids):
+            assert np.array_equal(part.labels, labels[taken])
+        assert set(train.labels) == set(test.labels) == set(labels)
 
 
 def test_missing_pattern_deterministic_per_seed():

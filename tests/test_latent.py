@@ -4,9 +4,13 @@ import json
 import math
 import shutil
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmvl import cli
 from pmvl.adversarial import GanConfig, load_gan, save_gan, train_unsupervised
@@ -84,6 +88,8 @@ CORRUPTIONS = {
     "nan_in_trace": ("{manifest}", set_traces([0.5, math.nan])),
     "non_finite_l2_coefficient": ("{role}_v0.json",
                                   rewrite_json(lambda net: net.update(l2_coefficient=math.inf))),
+    "binary_named_elsewhere": ("{role}_v0.json",
+                               rewrite_json(lambda net: net.update(data_file="gone.bin"))),
 }
 
 
@@ -164,3 +170,69 @@ def test_checkpoint_with_retired_keys_loads_same_model(checkpoints, tmp_path, ki
                        "--out", str(tmp_path / "eval")])
         assert rc == 2
         assert key in capsys.readouterr().err
+
+
+# what a retyped JSON key is set to: each is the wrong type for some key
+RETYPED = [None, True, -1, 2.5, "x", [], {}, [1, "a"]]
+
+
+def key_paths(obj, path=()):
+    """The path of every key of a JSON object, nested objects included."""
+    for key, value in obj.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from key_paths(value, path + (key,))
+
+
+def fuzzed(draw, raw, is_json):
+    """`raw` with one drawn bit flipped, cut short, or (JSON) one key dropped or retyped."""
+    kind = draw(st.sampled_from(["flip", "truncate"] + (["drop", "retype"] if is_json else [])))
+    if kind == "flip":
+        at, bit = draw(st.integers(0, len(raw) - 1)), draw(st.integers(0, 7))
+        return raw[:at] + bytes([raw[at] ^ 1 << bit]) + raw[at + 1:]
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    obj = json.loads(raw)
+    *parents, key = draw(st.sampled_from(list(key_paths(obj))))
+    holder = obj
+    for name in parents:
+        holder = holder[name]
+    if kind == "drop":
+        del holder[key]
+    else:
+        holder[key] = draw(st.sampled_from(RETYPED))
+    return json.dumps(obj).encode()
+
+
+def fuzz_one_file(draw, root, dirs, into):
+    """Copies of `dirs` under `into` with one drawn file of them fuzzed."""
+    for d in dirs:
+        shutil.copytree(root / d, into / d)
+    names = sorted(str(f.relative_to(root)) for d in dirs for f in (root / d).iterdir())
+    target = into / draw(st.sampled_from(names))
+    target.write_bytes(fuzzed(draw, target.read_bytes(), target.suffix == ".json"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fuzzed_checkpoint_or_dataset_ends_eval_with_an_exit_code(checkpoints, data):
+    root, _ = checkpoints
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        fuzz_one_file(data.draw, root, ("model", "data"), tmp)
+        rc = cli.main(["eval", "--model", str(tmp / "model"),
+                       "--data", str(tmp / "data" / "dataset.json"), "--out", str(tmp / "eval")])
+    assert rc in (0, 2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fuzzed_gan_checkpoint_loads_or_raises_pmvl_error(checkpoints, data):
+    root, _ = checkpoints
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        fuzz_one_file(data.draw, root, ("gan",), tmp)
+        try:
+            load_gan(tmp / "gan")
+        except PmvlError:
+            pass

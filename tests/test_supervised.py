@@ -86,7 +86,7 @@ def test_reconstruction_loss_masked_sample_contributes_zero():
     base = reconstruction_loss(nets, LatentTable(h), data)
     h2 = h.copy()
     h2[1] += 100.0  # only visible through the masked view of row 1
-    data2 = data.copy()
+    data2 = data.take(np.arange(data.n_samples))
     data2.views[1][1] = forward(nets[1], h2[1:2])[0]  # keep the observed view exact
     data.views[1][1] = forward(nets[1], h[1:2])[0]
     a = reconstruction_loss(nets, LatentTable(h), data)
@@ -184,7 +184,7 @@ def test_masked_slot_junk_is_bit_exactly_ignored():
     nets = [init_net([3, 4, d], rng=rng) for d in data.view_dims]
     h = rng.normal(size=(data.n_samples, 3))
     centroids = rng.normal(size=(data.n_classes, 3))
-    junk = data.copy()
+    junk = data.take(np.arange(data.n_samples))
     for v in range(junk.n_views):
         hole = junk.mask[:, v] == 0
         junk.views[v][hole] = 1e6
