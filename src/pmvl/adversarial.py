@@ -187,7 +187,7 @@ def combined_upstreams(model, data, acts=None):
             disc, fake_rows = model.discriminators[v], out[miss]
             d_acts = activations(disc, fake_rows)
             ud = model.config.adv_weight * _log_upstream(d_acts[-1], -1, int(miss.sum()))
-            u[miss] += backward(disc, fake_rows, ud, d_acts).d_input
+            u[miss] += backward(disc, fake_rows, ud, d_acts, params=False).d_input
         ups.append(u)
     return ups
 

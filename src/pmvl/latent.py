@@ -144,10 +144,11 @@ def reconstruction_loss(nets, latent, data, acts=None):
 
 
 def latent_pullback(nets, h, upstreams, acts=None):
-    """Sum over views of dL/dh, given each view's dL/d(f_v(h)) and optionally its activations."""
+    """Sum over views of dL/dh through fixed nets, so backward forms d_input only
+    (params=False); given each view's dL/d(f_v(h)) and optionally its activations."""
     g = np.zeros_like(h)
     for v, (net, u) in enumerate(zip(nets, upstreams)):
-        g += backward(net, h, u, None if acts is None else acts[v]).d_input
+        g += backward(net, h, u, None if acts is None else acts[v], params=False).d_input
     return g
 
 

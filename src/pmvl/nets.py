@@ -102,10 +102,6 @@ class DenseNet:
     def output_dim(self):
         return int(self.layer_dims[-1])
 
-    def layer_activated(self, i):
-        """Whether layer i's output passes through the sigmoid."""
-        return i < self.n_layers - 1 or self.activation == SIGMOID_ALL
-
     def copy(self):
         return DenseNet(
             layer_dims=list(self.layer_dims),
@@ -120,8 +116,8 @@ class DenseNet:
 class GradientBundle:
     """Gradients of a scalar loss: per-layer parameter grads plus d_input."""
 
-    d_weights: list
-    d_biases: list
+    d_weights: list | None  # None from backward(params=False)
+    d_biases: list | None
     d_input: np.ndarray
 
     def accumulate(self, other):
@@ -171,12 +167,18 @@ def _check_input(net, x, where="input"):
     return x
 
 
+def _sigmoid_layers(net):
+    """How many leading layers pass their output through the sigmoid: all, or all but the last."""
+    return net.n_layers - (net.activation != SIGMOID_ALL)
+
+
 def _layer_outputs(net, a):
     """The layer loop of activations, on a batch _check_input has already checked."""
-    acts = [a]
+    acts, k = [a], _sigmoid_layers(net)
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
-        a = sigmoid(z) if net.layer_activated(i) else z
+        z = a @ w.T
+        z += b
+        a = sigmoid(z) if i < k else z
         acts.append(a)
     return acts
 
@@ -191,13 +193,16 @@ def forward(net, input_batch):
     return activations(net, input_batch)[-1]
 
 
-def backward(net, input_batch, upstream_grad, acts=None):
+def backward(net, input_batch, upstream_grad, acts=None, params=True):
     """Backpropagate an upstream gradient through the net.
 
     `upstream_grad` is dL/d(output), shaped like forward's result. Returns a
     GradientBundle whose d_weights include the l2 term c * W (biases carry no
     decay) and whose d_input is dL/d(input_batch). Parameter gradients are
-    summed over the batch, i.e. they are exact gradients of the scalar L.
+    summed over the batch, i.e. they are exact gradients of the scalar L;
+    `params=False` skips them (None, which sgd_step refuses) for pullbacks
+    through a fixed net. d_input is formed either way, with the same bytes,
+    so every bundle carries the batch's rows.
     `acts`, when given, must be activations(net, input_batch) for the net's
     current parameters; without it they are evaluated here.
     """
@@ -212,14 +217,18 @@ def backward(net, input_batch, upstream_grad, acts=None):
             f"upstream gradient shape {g.shape} does not match output {acts[-1].shape}"
         )
 
-    d_weights = [None] * net.n_layers
-    d_biases = [None] * net.n_layers
-    for i in reversed(range(net.n_layers)):
-        if net.layer_activated(i):
+    n, k, c = net.n_layers, _sigmoid_layers(net), net.l2_coefficient
+    d_weights, d_biases = ([None] * n, [None] * n) if params else (None, None)
+    for i in reversed(range(n)):
+        if i < k:
             s = acts[i + 1]
-            g = g * s * (1.0 - s)
-        d_weights[i] = g.T @ acts[i] + net.l2_coefficient * net.weights[i]
-        d_biases[i] = g.sum(axis=0)
+            g = g * s  # a new array: the caller's upstream is never written
+            g *= 1.0 - s
+        if params:
+            d_weights[i] = g.T @ acts[i]
+            if c != 0:  # adding 0 * W could only flip the sign of a zero entry
+                d_weights[i] += c * net.weights[i]
+            d_biases[i] = g.sum(axis=0)
         g = g @ net.weights[i]
     return GradientBundle(d_weights, d_biases, g)
 

@@ -11,12 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pmvl import cli
-from pmvl.adversarial import GanConfig, load_gan, save_gan, train_unsupervised
+from pmvl.adversarial import AdversarialModel, GanConfig, load_gan, save_gan, train_unsupervised
 from pmvl.data import MissingSpec, apply_missing_pattern, save_dataset, synth_dataset
 from pmvl.errors import PmvlError
-from pmvl.supervised import TrainConfig, load_model, retune, save_model, train
+from pmvl.latent import LatentTable
+from pmvl.nets import SIGMOID_ALL, init_net
+from pmvl.supervised import SupervisedModel, TrainConfig, load_model, retune, save_model, train
 
 KINDS = {
     # kind: (manifest, decoder role, the other net role, loader)
@@ -236,3 +239,84 @@ def test_fuzzed_gan_checkpoint_loads_or_raises_pmvl_error(checkpoints, data):
             load_gan(tmp / "gan")
         except PmvlError:
             pass
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def latent_models(draw, kind):
+    """A small supervised model or GAN with drawn shapes, arrays, config and traces."""
+    k = draw(st.integers(1, 4))
+    hidden = tuple(draw(st.lists(st.integers(1, 5), max_size=2)))
+    widths = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+    n = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    latent = LatentTable(draw(hnp.arrays(np.float64, (n, k), elements=FINITE)))
+    trace = st.lists(FINITE, max_size=4)
+    if kind == "model":
+        l2 = draw(st.floats(0.0, 1e3))
+        config = TrainConfig(latent_dim=k, hidden_dims=hidden, seed=seed, l2_coefficient=l2,
+                             lam=draw(st.floats(1e-3, 1e3)))
+        recon, retuned = ([init_net([k, *hidden, d], l2_coefficient=l2, rng=rng) for d in widths]
+                          for _ in range(2))
+        centroids = draw(hnp.arrays(np.float64, (draw(st.integers(1, 3)), k), elements=FINITE))
+        return SupervisedModel(latent, recon, centroids, config,
+                               retuned if draw(st.booleans()) else None, draw(trace))
+    config = GanConfig(latent_dim=k, hidden_dims=hidden, seed=seed,
+                       adv_weight=draw(st.floats(0.0, 1e3)), d_steps=draw(st.integers(1, 9)))
+    gens = [init_net([k, *hidden, d], rng=rng) for d in widths]
+    discs = [init_net([d, *reversed(hidden), 1], SIGMOID_ALL, rng=rng) for d in widths]
+    return AdversarialModel(latent, gens, discs, config, draw(trace), draw(trace), draw(trace))
+
+
+def same_bytes(a, b):
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+def assert_same_nets(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.layer_dims, a.activation, a.l2_coefficient) == (
+            b.layer_dims, b.activation, b.l2_coefficient)
+    for x, y in zip(net_arrays(got), net_arrays(want), strict=True):
+        assert same_bytes(x, y)
+
+
+def tree_bytes(root):
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+ROUND_TRIPS = {
+    # kind: (save, load, net roles, arrays, traces)
+    "model": (save_model, load_model, ("recon_nets", "retuned_nets"), ("centroids",),
+              ("objective_trace",)),
+    "gan": (save_gan, load_gan, ("generators", "discriminators"), (),
+            ("d_trace", "g_trace", "rec_trace")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ROUND_TRIPS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_checkpoint_round_trip_is_exact(kind, data):
+    save, load, roles, arrays, traces = ROUND_TRIPS[kind]
+    model = data.draw(latent_models(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        back = load(save(model, tmp / "first"))
+        save(back, tmp / "second")
+        assert tree_bytes(tmp / "first") == tree_bytes(tmp / "second")
+    assert back.config == model.config
+    assert same_bytes(back.latent.H, model.latent.H)
+    for role in roles:
+        if getattr(model, role) is None:
+            assert getattr(back, role) is None
+        else:
+            assert_same_nets(getattr(back, role), getattr(model, role))
+    for key in arrays:
+        assert same_bytes(getattr(back, key), getattr(model, key))
+    for key in traces:
+        assert len(getattr(back, key)) == len(getattr(model, key))
+        assert same_bytes(getattr(back, key), getattr(model, key))

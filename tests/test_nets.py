@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmvl.errors import ConfigurationError, DimensionError
 from pmvl.nets import (
@@ -226,6 +228,66 @@ def test_backward_through_given_activations_is_byte_equal(activation, dims, rows
     for a, b in zip(want.d_weights + want.d_biases, got.d_weights + got.d_biases):
         assert_same_bytes(b, a)
     assert_same_bytes(got.d_input, want.d_input)
+
+
+def naive_backward(net, x, up):
+    """The seed formula, out of place and layer by layer: (d_weights, d_biases, d_input).
+
+    Activations come from the two-branch sigmoid, which sigmoid matches bit for bit.
+    """
+    acts = [np.atleast_2d(np.asarray(x, dtype=np.float64))]
+    activated = [i < net.n_layers - 1 or net.activation == SIGMOID_ALL
+                 for i in range(net.n_layers)]
+    for i in range(net.n_layers):
+        z = acts[i] @ net.weights[i].T + net.biases[i]
+        acts.append(two_branch_sigmoid(z) if activated[i] else z)
+    g = np.atleast_2d(up)
+    d_weights, d_biases = [None] * net.n_layers, [None] * net.n_layers
+    for i in reversed(range(net.n_layers)):
+        if activated[i]:
+            g = g * acts[i + 1] * (1.0 - acts[i + 1])
+        d_weights[i] = g.T @ acts[i] + net.l2_coefficient * net.weights[i]
+        d_biases[i] = g.sum(0)
+        g = g @ net.weights[i]
+    return d_weights, d_biases, g
+
+
+@settings(max_examples=80, deadline=None)
+@given(dims=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+       rows=st.one_of(st.none(), st.integers(1, 6)),
+       activation=st.sampled_from([SIGMOID_HIDDEN, SIGMOID_ALL]),
+       l2=st.sampled_from([0.0, 0.001, 0.5]),
+       given_acts=st.booleans(),
+       zero_cols=st.lists(st.booleans(), min_size=6, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_backward_matches_the_naive_formula(dims, rows, activation, l2, given_acts, zero_cols,
+                                            seed):
+    # rows=None is a 1-D input row; zeroed upstream columns give zero gradient entries,
+    # where skipping the l2 term when l2 == 0 could only change the sign of a zero
+    rng = np.random.default_rng(seed)
+    net = init_net(dims, activation=activation, l2_coefficient=l2, rng=rng)
+    x = rng.normal(size=dims[0] if rows is None else (rows, dims[0]))
+    up = rng.normal(size=(1 if rows is None else rows, dims[-1]))
+    up[:, np.array(zero_cols[:dims[-1]])] = 0.0
+    up_bytes = up.tobytes()
+    acts = activations(net, x) if given_acts else None
+    d_weights, d_biases, d_input = naive_backward(net, x, up)
+
+    full = backward(net, x, up, acts)
+    partial = backward(net, x, up, acts, params=False)
+    assert up.tobytes() == up_bytes
+    assert_same_bytes(full.d_input, d_input)
+    assert_same_bytes(partial.d_input, d_input)
+    assert partial.d_weights is None and partial.d_biases is None
+    for got, want in zip(full.d_weights + full.d_biases, d_weights + d_biases):
+        assert np.array_equal(got, want)
+
+    stepped = sgd_step(net.copy(), full, 0.1)
+    for got, w, dw in zip(stepped.weights + stepped.biases, net.weights + net.biases,
+                          d_weights + d_biases):
+        assert_same_bytes(got, w - 0.1 * dw)
+    with pytest.raises(TypeError):
+        sgd_step(net.copy(), partial, 0.1)
 
 
 def test_init_net_bounds_and_determinism():
