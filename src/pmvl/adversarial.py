@@ -68,7 +68,7 @@ class GanConfig(LatentConfig):
     hidden_dims: tuple = (64,)
 
     def __post_init__(self):
-        self._validate(("latent_dim", "epochs", "d_steps", "lr"), ("adv_weight", "seed"))
+        self._validate(("latent_dim", "epochs", "d_steps", "lr"))
 
 
 @dataclass

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _blas
 from ._stripes import map_striped
-from .errors import ConfigurationError, InputError, check_number
+from .errors import ConfigurationError, InputError, check_fields, check_number
 from .metrics import class_centroids, classification_report, squared_distances
 
 GLOBAL_MEAN = "global_mean"
@@ -41,17 +41,7 @@ class SvdParams:
     iters: int = 100
 
     def __post_init__(self):
-        if self.rank is not None:
-            check_number("rank", self.rank, numbers.Integral)
-            if self.rank < 1:
-                raise ConfigurationError(f"rank must be >= 1, got {self.rank}")
-        if self.shrinkage is not None:
-            check_number("shrinkage", self.shrinkage, numbers.Real)
-            if self.shrinkage < 0:
-                raise ConfigurationError(f"shrinkage must be >= 0, got {self.shrinkage}")
-        check_number("iters", self.iters, numbers.Integral)
-        if self.iters < 1:
-            raise ConfigurationError(f"iters must be >= 1, got {self.iters}")
+        check_fields(self, positive=("rank", "iters"))
 
 
 def _column_means(x, observed):
@@ -240,6 +230,7 @@ def impute_baseline(data, kind, svd_params=None):
 
 def concat_classify(train_data, test_data, rule="nearest_centroid", k=1):
     """Fit a simple rule on concatenated views; both datasets must be complete."""
+    check_number("k", k, numbers.Integral, positive=True)
     for name, d in (("train", train_data), ("test", test_data)):
         if not (d.mask == 1).all():
             raise InputError(f"{name} data still has masked slots; impute first")
@@ -255,8 +246,6 @@ def concat_classify(train_data, test_data, rule="nearest_centroid", k=1):
     elif rule == "knn":
         if k > x_train.shape[0]:
             raise ConfigurationError(f"k={k} exceeds train size {x_train.shape[0]}")
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
         d2 = squared_distances(x_test, x_train)
         nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
         votes = y_train[nearest]

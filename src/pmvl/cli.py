@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import numbers
 import sys
 import time
 import warnings
@@ -41,7 +42,7 @@ from .data import (
     split,
     synth_dataset,
 )
-from .errors import ConfigurationError, DimensionError, PmvlError, read_json_object
+from .errors import ConfigurationError, DimensionError, PmvlError, check_number, read_json_object
 from .latent import drop_retired
 from .metrics import evaluate_clustering, nrmse
 from .supervised import TrainConfig, evaluate, load_model, retune, save_model, train
@@ -92,11 +93,6 @@ def _check_rates(flag, rates):
     with _naming(flag):
         for eta in rates:
             MissingSpec(eta)
-
-
-def _check_repeats(repeats):
-    if repeats < 1:
-        raise ConfigurationError(f"--repeats must be >= 1, got {repeats}")
 
 
 def _write_report(out_dir, payload):
@@ -184,7 +180,7 @@ def _unsup_pipeline(masked, cfg, truth):
 
 def cmd_train_sup(args):
     _check_rates("--eta", [args.eta])
-    _check_repeats(args.repeats)
+    check_number("--repeats", args.repeats, numbers.Integral, positive=True)
     data = load_dataset(args.data)
     merged = _settings(args, SUP_PRESETS, TrainConfig)
     out = Path(args.out)
@@ -265,6 +261,9 @@ def cmd_train_unsup(args):
 
 
 def cmd_impute(args):
+    for flag in ("rank", "shrinkage"):
+        if getattr(args, flag) is not None and args.method != SVD:
+            raise ConfigurationError(f"--{flag} applies to --method svd only")
     data = load_dataset(args.data)
     params = SvdParams(rank=args.rank, shrinkage=args.shrinkage)
     filled = impute_baseline(data, args.method, svd_params=params)
@@ -353,7 +352,7 @@ def cmd_sweep(args):
     _check_rates("--rates", rates)
     with _naming("--train-frac"):
         check_train_fraction(args.train_frac)
-    _check_repeats(args.repeats)
+    check_number("--repeats", args.repeats, numbers.Integral, positive=True)
     if any(m.startswith("sup") for m in methods):
         TrainConfig(**sup_settings)
     if any(m.startswith("unsup") for m in methods):
@@ -495,9 +494,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:
-            raise ConfigurationError(f"--seed must be >= 0, got {args.seed}")
-        return args.fn(args)
+        check_number("--seed", getattr(args, "seed", 0), numbers.Integral)
+        # a diverging run ends in one error line, not numpy's overflow warnings
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except PmvlError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

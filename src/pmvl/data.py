@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigurationError, IngestionError, InputError, SplitError, check_number,
-                     read_json_object)
+from .errors import (ConfigurationError, IngestionError, InputError, SplitError, check_fields,
+                     check_number, read_json_object)
 from .nets import sigmoid
 
 
@@ -130,11 +130,8 @@ class MissingSpec:
     seed: int = 0
 
     def __post_init__(self):
-        check_number("target_rate", self.target_rate, numbers.Real)
-        check_number("seed", self.seed, numbers.Integral)
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 <= self.target_rate < 1.0:
+        check_fields(self)
+        if self.target_rate >= 1.0:
             raise ConfigurationError(f"target_rate {self.target_rate} outside [0, 1)")
 
 
@@ -177,8 +174,8 @@ def apply_missing_pattern(data, spec):
     return MultiViewDataset(views, mask, data.labels, list(data.view_names))
 
 
-def _read_csv(path, kind="float"):
-    """Parse a rectangular numeric CSV; errors carry file and line."""
+def _read_csv(path, kind=float):
+    """Parse a rectangular CSV of `kind` (int or float) cells; errors carry file and line."""
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"{path}: file not found")
@@ -196,29 +193,26 @@ def _read_csv(path, kind="float"):
                         f"{path}:{lineno}: ragged row ({len(row)} cells, expected {width})"
                     )
                 try:
-                    if kind == "int":
-                        rows.append([int(c) for c in row])
-                    else:
-                        rows.append([float(c) for c in row])
+                    rows.append([kind(c) for c in row])
                 except ValueError:
                     raise IngestionError(f"{path}:{lineno}: non-numeric cell") from None
     except (UnicodeDecodeError, csv.Error) as exc:  # bytes that are not CSV text
         raise IngestionError(f"{path}: not readable as CSV text ({exc})") from None
     if not rows:
         raise IngestionError(f"{path}: no data rows")
-    dtype = np.int64 if kind == "int" else np.float64
+    dtype = np.int64 if kind is int else np.float64
     return np.asarray(rows, dtype=dtype)
 
 
 def load_csv_views(paths, label_path=None, mask_path=None, view_names=None):
     """Assemble a dataset from one CSV per view plus optional labels/mask files."""
-    views = [_read_csv(p, "float") for p in paths]
+    views = [_read_csv(p) for p in paths]
     n = views[0].shape[0]
     for p, v in zip(paths, views):
         if v.shape[0] != n:
             raise IngestionError(f"{p}: {v.shape[0]} rows, expected {n} (row-count mismatch)")
     if mask_path is not None:
-        mask = _read_csv(mask_path, "int")
+        mask = _read_csv(mask_path, int)
         if mask.shape != (n, len(views)):
             raise IngestionError(f"{mask_path}: mask shape {mask.shape}, expected ({n}, {len(views)})")
         if not np.isin(mask, (0, 1)).all():
@@ -236,7 +230,7 @@ def load_csv_views(paths, label_path=None, mask_path=None, view_names=None):
             raise IngestionError(f"{p}: row {bad[0] + 1} has a non-finite cell in an observed slot")
     labels = None
     if label_path is not None:
-        labels = _read_csv(label_path, "int").reshape(-1)
+        labels = _read_csv(label_path, int).reshape(-1)
         if labels.shape[0] != n:
             raise IngestionError(f"{label_path}: {labels.shape[0]} labels for {n} rows")
     return MultiViewDataset(views, mask, labels, view_names)
@@ -312,12 +306,16 @@ def synth_dataset(
     with fixed random projections. nuisance_scale > 0 adds a shared
     class-independent variance component along one random direction, which
     makes plain Euclidean classifiers struggle while leaving the class
-    structure intact. Balanced labels, deterministic per seed.
+    structure intact. Balanced labels, deterministic per seed. The sizes are
+    integers >= 1, seed an integer >= 0 and the scales finite numbers >= 0.
     """
-    if min(n, classes, latent_dim) <= 0 or any(d <= 0 for d in view_dims):
-        raise ConfigurationError("all synth_dataset sizes must be positive")
-    if nuisance_scale < 0:
-        raise ConfigurationError("nuisance_scale must be >= 0")
+    for name, size in (("n", n), ("classes", classes), ("latent_dim", latent_dim),
+                       *((f"view_dims[{v}]", d) for v, d in enumerate(view_dims))):
+        check_number(name, size, numbers.Integral, positive=True)
+    check_number("seed", seed, numbers.Integral)
+    for name, scale in (("noise_scale", noise_scale), ("center_scale", center_scale),
+                        ("nuisance_scale", nuisance_scale)):
+        check_number(name, scale, numbers.Real)
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(classes, latent_dim))
     norms = np.linalg.norm(centers, axis=1, keepdims=True)
@@ -340,13 +338,17 @@ def synth_dataset(
 
 
 def check_train_fraction(train_fraction):
-    if not 0.0 < train_fraction < 1.0:
+    check_number("train_fraction", train_fraction, numbers.Real, positive=True)
+    if train_fraction >= 1.0:
         raise ConfigurationError(f"train_fraction {train_fraction} outside (0, 1)")
 
 
 def split(data, train_fraction, seed=0):
-    """Shuffle split into (train, test); stratified by label when labels exist."""
+    """Shuffle split into (train, test); stratified by label when labels exist.
+
+    train_fraction lies in (0, 1) and seed is an integer >= 0."""
     check_train_fraction(train_fraction)
+    check_number("seed", seed, numbers.Integral)
     rng = np.random.default_rng(seed)
     n = data.n_samples
     if data.labels is None:

@@ -4,6 +4,7 @@ import json
 import math
 import numbers
 from pathlib import Path
+from typing import get_type_hints
 
 
 class PmvlError(Exception):
@@ -49,11 +50,29 @@ def read_json_object(path, error):
     return value
 
 
-def check_number(name, value, kind):
-    """Raise ConfigurationError unless `value` is a `kind` (numbers.Integral or
-    numbers.Real) and not a bool; a float must also be finite."""
+def check_number(name, value, kind, positive=False):
+    """Raise ConfigurationError unless `value` is a `kind` (numbers.Integral or numbers.Real),
+    not a bool, finite and >= 0, or > 0 (>= 1 for an integer) when `positive`. The message
+    reads "NAME must be an integer|a number|finite|>= 0|> 0|>= 1, got VALUE"."""
     if isinstance(value, bool) or not isinstance(value, kind):
         what = "an integer" if kind is numbers.Integral else "a number"
         raise ConfigurationError(f"{name} must be {what}, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
         raise ConfigurationError(f"{name} must be finite, got {value!r}")
+    if value < 0 or (positive and value == 0):
+        bound = (">= 1" if kind is numbers.Integral else "> 0") if positive else ">= 0"
+        raise ConfigurationError(f"{name} must be {bound}, got {value}")
+
+
+_KINDS = {int: numbers.Integral, float: numbers.Real,
+          int | None: numbers.Integral, float | None: numbers.Real}
+
+
+def check_fields(obj, positive=()):
+    """check_number on each field of dataclass `obj` hinted `int` or `float`, or None
+    where hinted `int | None` or `float | None`; those named in `positive` must be > 0."""
+    for name, hint in get_type_hints(type(obj)).items():
+        value = getattr(obj, name)
+        kind = _KINDS.get(hint)
+        if kind is not None and (value is not None or hint in (int, float)):
+            check_number(name, value, kind, name in positive)

@@ -14,12 +14,11 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
 from .errors import (
-    ConfigurationError, DimensionError, InputError, PmvlError, TrainingError, check_number,
+    ConfigurationError, DimensionError, InputError, PmvlError, TrainingError, check_fields,
     read_json_object,
 )
 from .nets import SIGMOID_HIDDEN, backward, forward, init_net, load_net, save_net
@@ -50,7 +49,6 @@ class LatentTable:
 # settings that were once config fields, each with the only value any run used
 RETIRED_SETTINGS = {"net_iters": 1, "latent_iters": 1, "centroid_excludes_self": False,
                     "g_steps": 1, "h_steps": 1}
-NUMBER_FIELDS = {int: numbers.Integral, float: numbers.Real, float | None: numbers.Real}
 
 
 def drop_retired(settings):
@@ -66,19 +64,8 @@ def drop_retired(settings):
 class LatentConfig:
     """Validation and dict round-trip shared by both trainers' config dataclasses."""
 
-    def _validate(self, positive, nonnegative=()):
-        for name, hint in get_type_hints(type(self)).items():
-            value = getattr(self, name)
-            kind = NUMBER_FIELDS.get(hint)
-            if kind is not None and not (value is None and hint == float | None):
-                check_number(name, value, kind)
-        for name in positive:
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigurationError(f"{name} must be positive")
-        for name in nonnegative:
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
+    def _validate(self, positive):
+        check_fields(self, positive)
         dims = self.hidden_dims
         if not isinstance(dims, (list, tuple)) or any(
                 isinstance(d, bool) or not isinstance(d, numbers.Integral) or d <= 0 for d in dims):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, TrainingError, check_number
+from .errors import InputError, TrainingError, check_number
 
 
 @dataclass
@@ -122,12 +122,8 @@ def _lloyd(points, centers):
 def kmeans(points, k, seed=0):
     """Best of 10 Lloyd runs, each from its own k-means++ seeding."""
     points = np.asarray(points, dtype=np.float64)
-    check_number("k", k, numbers.Integral)
-    if k <= 0:
-        raise ConfigurationError(f"k must be positive, got {k}")
+    check_number("k", k, numbers.Integral, positive=True)
     check_number("seed", seed, numbers.Integral)
-    if seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     if points.ndim != 2 or k > points.shape[0]:
         raise InputError(f"need a 2-D matrix with at least k={k} rows")
     if not np.isfinite(points).all():

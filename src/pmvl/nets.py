@@ -54,6 +54,13 @@ def sigmoid(x):
     return e
 
 
+def _check_layer_dims(layer_dims):
+    if len(layer_dims) < 2:
+        raise ConfigurationError("layer_dims needs at least an input/output pair")
+    for i, d in enumerate(layer_dims):
+        check_number(f"layer_dims[{i}]", d, numbers.Integral, positive=True)
+
+
 @dataclass
 class DenseNet:
     """A fully connected network: affine layers plus sigmoid activations.
@@ -70,15 +77,10 @@ class DenseNet:
     l2_coefficient: float = 0.0
 
     def __post_init__(self):
-        if len(self.layer_dims) < 2:
-            raise ConfigurationError("layer_dims needs at least an input/output pair")
-        if any(int(d) <= 0 for d in self.layer_dims):
-            raise ConfigurationError(f"layer_dims must be positive, got {self.layer_dims}")
+        _check_layer_dims(self.layer_dims)
         if self.activation not in _ACTIVATIONS:
             raise ConfigurationError(f"unknown activation {self.activation!r}")
         check_number("l2_coefficient", self.l2_coefficient, numbers.Real)
-        if self.l2_coefficient < 0:
-            raise ConfigurationError("l2_coefficient must be >= 0")
         if len(self.weights) != len(self.layer_dims) - 1 or len(self.biases) != len(self.weights):
             raise DimensionError(
                 f"{len(self.layer_dims)} dims require {len(self.layer_dims) - 1} weight/bias pairs"
@@ -143,9 +145,11 @@ class GradientBundle:
 def init_net(layer_dims, activation=SIGMOID_HIDDEN, l2_coefficient=0.0, rng=0):
     """Build a net with uniform [-r, r] weights, r = sqrt(6/(fan_in+fan_out)).
 
-    Biases start at zero. `rng` is a seed or a numpy Generator.
+    Biases start at zero. `rng` is an integer seed >= 0 or a numpy Generator.
     """
+    _check_layer_dims(layer_dims)
     if not isinstance(rng, np.random.Generator):
+        check_number("rng", rng, numbers.Integral)
         rng = np.random.default_rng(rng)
     weights, biases = [], []
     for d_in, d_out in zip(layer_dims[:-1], layer_dims[1:]):

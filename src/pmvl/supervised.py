@@ -72,7 +72,7 @@ class TrainConfig(LatentConfig):
 
     def __post_init__(self):
         self._validate(("latent_dim", "epochs", "infer_iters", "infer_lr", "lam", "lr_nets",
-                        "lr_latent", "tol"), ("retune_epochs", "l2_coefficient", "seed"))
+                        "lr_latent", "tol"))
 
 
 @dataclass

@@ -3,6 +3,9 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -293,6 +296,35 @@ def test_bad_run_setting_exits_2_naming_it(complete_dir, tmp_path, capsys, comma
     assert rc == 2
     assert name in capsys.readouterr().err
     assert not out.exists()  # stopped before any cell, training or imputation run
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--rank", 3], "--rank"),
+    (["--method", "global_mean", "--rank", 3, "--shrinkage", 0.5], "--rank"),
+    (["--method", "class_mean", "--shrinkage", 0], "--shrinkage"),
+])
+def test_impute_refuses_svd_flags_without_svd(tmp_path, capsys, flags, name):
+    out = tmp_path / "x"
+    rc = run_cli("impute", "--data", tmp_path / "no-data.json", *flags, "--out", out)
+    assert rc == 2  # a missing --data would exit 3: the flags are refused before any read
+    assert f"error: {name} applies to --method svd only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("train-sup", ["--lr-nets", "1e308", "--repeats", "2"]),
+    ("train-unsup", ["--lr", "1e200", "--eta", "0.3"]),
+])
+def test_diverging_run_prints_one_error_line(complete_dir, tmp_path, command, flags):
+    # a fresh interpreter: numpy's warnings, forked stripes' included, reach its stderr
+    done = subprocess.run(
+        [sys.executable, "-m", "pmvl.cli", command, "--data", str(complete_dir / "dataset.json"),
+         *flags, "--epochs", "3", "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "diverged" in lines[0], lines
 
 
 @pytest.fixture(scope="module")
