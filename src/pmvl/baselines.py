@@ -1,16 +1,15 @@
 """Reference imputers and a concatenation classifier.
 
 Three fill strategies for masked view slots: the observed per-feature mean,
-the class-conditional mean (falling back to the global mean where a class
-never observed a feature), and iterative soft-thresholded SVD completion
-run independently per view. A simple classifier over concatenated, fully
+the class-conditional mean (the global mean, by rule and without a warning,
+where a class never observed the view), and iterative soft-thresholded SVD
+completion run independently per view. A simple classifier over concatenated, fully
 filled views (nearest centroid or kNN) closes the loop for comparisons.
 """
 
 from __future__ import annotations
 
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,24 +55,19 @@ def impute_global_mean(data):
 
 
 def impute_class_mean(data):
+    """Fill each masked slot with its class's observed mean in that view, or with the
+    view's observed mean where the class has no observed row of the view."""
     if data.labels is None:
         raise InputError("class-mean imputation needs labels")
-    fills, fallbacks = [], 0
+    fills = []
     for v, x in enumerate(data.views):
         obs = data.mask[:, v] == 1
         rows = np.empty((int((~obs).sum()), x.shape[1]))
         gone = data.labels[~obs]
         for c in np.unique(gone):
             seen = obs & (data.labels == c)
-            fallbacks += not seen.any()
             rows[gone == c] = _column_means(x, seen if seen.any() else obs)
         fills.append(rows)
-    if fallbacks:
-        warnings.warn(
-            f"class-mean imputation fell back to the global mean for {fallbacks} "
-            "class/view cells with no observation",
-            stacklevel=2,
-        )
     return data.filled(fills)
 
 

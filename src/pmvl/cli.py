@@ -3,7 +3,8 @@
 Every command writes a JSON report into --out; wall-clock time lives in the
 report's single "timestamp" field so that everything else is byte-stable
 under identical arguments and seeds. Option precedence is command line over
---config file over the named --preset.
+--config file over the named --preset. Each command checks every setting it
+takes before it reads any file other than --config.
 """
 
 from __future__ import annotations
@@ -11,13 +12,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import itertools
 import json
 import numbers
+import re
 import sys
 import time
-import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,11 @@ GAN_PRESETS = {
     "animal": dict(latent_dim=256, lr=0.001, epochs=200, hidden_dims=(512, 1024)),
 }
 
+# the flag that sets each synth_dataset argument, for errors that name the flag
+SYNTH_FLAGS = {"n": "--n", "classes": "--classes", "latent_dim": "--zdim",
+               "view_dims": "--view-dims", "noise_scale": "--noise",
+               "center_scale": "--center-scale", "nuisance_scale": "--nuisance", "seed": "--seed"}
+
 SWEEP_METHODS = (
     "sup", "sup-noretune", "mean-nc", "mean-knn",
     "unsup", "unsup-nogan", "mean-fill", "class-fill", "svd-fill",
@@ -82,17 +88,14 @@ def _parse_list(text, kind, name):
 
 @contextlib.contextmanager
 def _naming(what, kind=ConfigurationError):
-    """Prefix the message of a `kind` error raised in the block with `what`."""
+    """Prefix the message of a `kind` error raised in the block with `what`, or, for a
+    dict `what`, with its entry for the setting the message starts with."""
     try:
         yield
     except kind as exc:
+        if isinstance(what, dict):
+            what = what[re.match(r"\w+", str(exc))[0]]
         raise type(exc)(f"{what}: {exc}") from None
-
-
-def _check_rates(flag, rates):
-    with _naming(flag):
-        for eta in rates:
-            MissingSpec(eta)
 
 
 def _write_report(out_dir, payload):
@@ -105,29 +108,32 @@ def _write_report(out_dir, payload):
     return path
 
 
-def _settings(args, preset_table, config_cls):
-    """Merge preset, config file, and explicit flags, in rising precedence.
+def _config(args, preset_table, config_cls):
+    """The checked config_cls at --seed: preset, config file, and explicit flags merged
+    in rising precedence.
 
     Flags apply by dest name. The config file may hold settings for several
     commands at once, so keys config_cls does not define (or seed) are dropped.
     """
-    known = {f.name for f in dataclasses.fields(config_cls)} - {"seed"}
+    known = {f.name for f in fields(config_cls)} - {"seed"}
     merged = dict(preset_table[args.preset])
     if args.config:
         merged.update(read_json_object(args.config, ConfigurationError))
     merged.update((k, v) for k, v in vars(args).items() if k in known and v is not None)
     merged = {k: v for k, v in drop_retired(merged).items() if k in known}
     if isinstance(merged.get("hidden_dims"), str):
-        merged["hidden_dims"] = _parse_list(merged["hidden_dims"], int, "hidden_dims")
-    return merged
+        with _naming("--hidden-dims"):
+            merged["hidden_dims"] = _parse_list(merged["hidden_dims"], int, "hidden_dims")
+    return config_cls(seed=args.seed, **merged)
 
 
 def cmd_synth(args):
-    data = synth_dataset(
-        args.n, args.classes, args.zdim, _parse_list(args.view_dims, int, "view_dims"),
-        seed=args.seed, noise_scale=args.noise, center_scale=args.center_scale,
-        nuisance_scale=args.nuisance,
-    )
+    with _naming(SYNTH_FLAGS):
+        data = synth_dataset(
+            args.n, args.classes, args.zdim, _parse_list(args.view_dims, int, "view_dims"),
+            seed=args.seed, noise_scale=args.noise, center_scale=args.center_scale,
+            nuisance_scale=args.nuisance,
+        )
     manifest = save_dataset(data, args.out, name="dataset")
     _write_report(args.out, {
         "command": "synth",
@@ -142,9 +148,10 @@ def cmd_synth(args):
 
 
 def cmd_mask(args):
-    _check_rates("--eta", [args.eta])
+    with _naming("--eta"):
+        spec = MissingSpec(args.eta, seed=args.seed)
     data = load_dataset(args.data)
-    masked = apply_missing_pattern(data, MissingSpec(args.eta, seed=args.seed))
+    masked = apply_missing_pattern(data, spec)
     manifest = save_dataset(masked, args.out, name="dataset")
     _write_report(args.out, {
         "command": "mask",
@@ -158,14 +165,12 @@ def cmd_mask(args):
 
 
 def _sup_pipeline(tr, te, cfg, with_retune):
-    """Train on tr, optionally retune, and evaluate on te without warnings."""
+    """Train on tr, optionally retune, and evaluate on te; an untuned model infers
+    te's latents through its training nets."""
     model = train(tr, cfg)
     if with_retune:
         model = retune(model, tr)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        report = evaluate(model, te)
-    return model, report
+    return model, evaluate(model, te)
 
 
 def _unsup_pipeline(masked, cfg, truth):
@@ -179,19 +184,22 @@ def _unsup_pipeline(masked, cfg, truth):
 
 
 def cmd_train_sup(args):
-    _check_rates("--eta", [args.eta])
+    with _naming("--eta"):
+        spec = MissingSpec(args.eta)  # each repeat masks at its own seeds
+    with _naming("--train-frac"):
+        check_train_fraction(args.train_frac)
     check_number("--repeats", args.repeats, numbers.Integral, positive=True)
+    config = _config(args, SUP_PRESETS, TrainConfig)
     data = load_dataset(args.data)
-    merged = _settings(args, SUP_PRESETS, TrainConfig)
     out = Path(args.out)
     seeds = [args.seed + r for r in range(args.repeats)]
 
     def repeat(s):
         tr, te = split(data, args.train_frac, seed=s)
         if args.eta > 0:
-            tr = apply_missing_pattern(tr, MissingSpec(args.eta, seed=s))
-            te = apply_missing_pattern(te, MissingSpec(args.eta, seed=s + 1))
-        model, report = _sup_pipeline(tr, te, TrainConfig(seed=s, **merged), not args.no_retune)
+            tr = apply_missing_pattern(tr, replace(spec, seed=s))
+            te = apply_missing_pattern(te, replace(spec, seed=s + 1))
+        model, report = _sup_pipeline(tr, te, replace(config, seed=s), not args.no_retune)
         # the first repeat runs in this process, so no model crosses a pipe
         return (model if s == seeds[0] else None), report.accuracy
 
@@ -218,21 +226,21 @@ def cmd_train_sup(args):
 
 
 def cmd_train_unsup(args):
-    _check_rates("--eta", [args.eta])
+    with _naming("--eta"):
+        spec = MissingSpec(args.eta, seed=args.seed)
     if args.eta > 0 and args.truth:
         raise ConfigurationError("--truth and --eta > 0 exclude each other: "
                                  "--eta masks --data and scores the fill against it")
+    cfg = _config(args, GAN_PRESETS, GanConfig)
     data = load_dataset(args.data)
-    merged = _settings(args, GAN_PRESETS, GanConfig)
     truth = None
     if args.eta > 0:
         truth = data
-        masked = apply_missing_pattern(data, MissingSpec(args.eta, seed=args.seed))
+        masked = apply_missing_pattern(data, spec)
     else:
         masked = data
         if args.truth:
             truth = load_dataset(args.truth)
-    cfg = GanConfig(seed=args.seed, **merged)
     model, result, clustering = _unsup_pipeline(masked, cfg, truth)
     out = Path(args.out)
     ckpt = save_gan(model, out / "gan")
@@ -264,8 +272,8 @@ def cmd_impute(args):
     for flag in ("rank", "shrinkage"):
         if getattr(args, flag) is not None and args.method != SVD:
             raise ConfigurationError(f"--{flag} applies to --method svd only")
-    data = load_dataset(args.data)
     params = SvdParams(rank=args.rank, shrinkage=args.shrinkage)
+    data = load_dataset(args.data)
     filled = impute_baseline(data, args.method, svd_params=params)
     out = Path(args.out)
     manifest = save_dataset(filled, out / "imputed", name="dataset")
@@ -286,15 +294,14 @@ def cmd_impute(args):
 def cmd_eval(args):
     model = load_model(args.model)
     data = load_dataset(args.data)
-    with warnings.catch_warnings(), _naming(f"--model {args.model}", DimensionError):
-        warnings.simplefilter("ignore")
+    with _naming(f"--model {args.model}", DimensionError):
         report = evaluate(model, data)
     _write_report(args.out, {"command": "eval", "model": str(args.model), **report.to_dict()})
     print(f"accuracy {report.accuracy:.4f} on {report.n} samples")
     return 0
 
 
-def _sweep_cell(data, method, eta, seed, sup_settings, gan_settings, train_frac):
+def _sweep_cell(data, method, eta, seed, sup_config, gan_config, train_frac):
     """One (method, eta, seed) run; returns rows of (metric, value)."""
     # at rate 0 the cell masks nothing, and a slot masked before holds no truth to score
     masked, truth = data, None
@@ -302,7 +309,7 @@ def _sweep_cell(data, method, eta, seed, sup_settings, gan_settings, train_frac)
         masked, truth = apply_missing_pattern(data, MissingSpec(eta, seed=seed)), data
     if method in ("sup", "sup-noretune"):
         tr, te = split(masked, train_frac, seed=seed)
-        _, report = _sup_pipeline(tr, te, TrainConfig(seed=seed, **sup_settings), method == "sup")
+        _, report = _sup_pipeline(tr, te, replace(sup_config, seed=seed), method == "sup")
         return [("accuracy", report.accuracy)]
     if method in ("mean-nc", "mean-knn"):
         filled = impute_baseline(masked, GLOBAL_MEAN)
@@ -311,10 +318,9 @@ def _sweep_cell(data, method, eta, seed, sup_settings, gan_settings, train_frac)
         report = concat_classify(tr, te, rule=rule, k=5)
         return [("accuracy", report.accuracy)]
     if method in ("unsup", "unsup-nogan"):
-        settings = dict(gan_settings)
-        if method == "unsup-nogan":
-            settings["adv_weight"] = 0.0
-        _, result, clustering = _unsup_pipeline(masked, GanConfig(seed=seed, **settings), truth)
+        nogan = {"adv_weight": 0.0} if method == "unsup-nogan" else {}
+        cfg = replace(gan_config, seed=seed, **nogan)
+        _, result, clustering = _unsup_pipeline(masked, cfg, truth)
         rows = []
         if result.overall_nrmse is not None:
             rows.append(("nrmse", result.overall_nrmse))
@@ -323,9 +329,7 @@ def _sweep_cell(data, method, eta, seed, sup_settings, gan_settings, train_frac)
         return rows
     if method in ("mean-fill", "class-fill", "svd-fill"):
         kind = {"mean-fill": GLOBAL_MEAN, "class-fill": CLASS_MEAN, "svd-fill": SVD}[method]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            filled = impute_baseline(masked, kind)
+        filled = impute_baseline(masked, kind)
         if truth is None or not (masked.mask == 0).any():
             return []
         report = nrmse(filled.views, truth.views, masked.mask == 0)
@@ -338,7 +342,11 @@ def _failure_text(exc):
 
 
 def cmd_sweep(args):
-    rates = list(dict.fromkeys(_parse_list(args.rates, float, "rates")))
+    # settings that are wrong for every cell stop the run before any cell runs
+    with _naming("--rates"):
+        rates = list(dict.fromkeys(_parse_list(args.rates, float, "rates")))
+        for eta in rates:
+            MissingSpec(eta)
     methods = list(dict.fromkeys(m.strip() for m in args.methods.split(",") if m.strip()))
     if not rates or not methods:
         raise ConfigurationError(f"{'--methods' if rates else '--rates'} is empty: no cell to run")
@@ -346,17 +354,11 @@ def cmd_sweep(args):
         if m not in SWEEP_METHODS:
             raise ConfigurationError(
                 f"unknown sweep method '{m}'; pick from {', '.join(SWEEP_METHODS)}")
-    sup_settings = _settings(args, SUP_PRESETS, TrainConfig)
-    gan_settings = _settings(args, GAN_PRESETS, GanConfig)
-    # settings that are wrong for every cell stop the run before any cell runs
-    _check_rates("--rates", rates)
     with _naming("--train-frac"):
         check_train_fraction(args.train_frac)
     check_number("--repeats", args.repeats, numbers.Integral, positive=True)
-    if any(m.startswith("sup") for m in methods):
-        TrainConfig(**sup_settings)
-    if any(m.startswith("unsup") for m in methods):
-        GanConfig(**gan_settings)
+    sup_config = _config(args, SUP_PRESETS, TrainConfig)
+    gan_config = _config(args, GAN_PRESETS, GanConfig)
     data = load_dataset(args.data)
     if max(rates) > 0 and (data.mask == 0).any():
         raise ConfigurationError(f"{args.data} has masked slots: --rates above 0 need complete data")
@@ -364,7 +366,7 @@ def cmd_sweep(args):
 
     def run_cell(cell):
         try:
-            return _sweep_cell(data, *cell, sup_settings, gan_settings, args.train_frac)
+            return _sweep_cell(data, *cell, sup_config, gan_config, args.train_frac)
         except Exception as exc:  # cell failures land in failures.csv, run continues
             return _failure_text(exc)
 

@@ -307,7 +307,8 @@ def synth_dataset(
     class-independent variance component along one random direction, which
     makes plain Euclidean classifiers struggle while leaving the class
     structure intact. Balanced labels, deterministic per seed. The sizes are
-    integers >= 1, seed an integer >= 0 and the scales finite numbers >= 0.
+    integers >= 1 with classes <= n, seed an integer >= 0 and the scales
+    finite numbers >= 0.
     """
     for name, size in (("n", n), ("classes", classes), ("latent_dim", latent_dim),
                        *((f"view_dims[{v}]", d) for v, d in enumerate(view_dims))):
@@ -316,6 +317,8 @@ def synth_dataset(
     for name, scale in (("noise_scale", noise_scale), ("center_scale", center_scale),
                         ("nuisance_scale", nuisance_scale)):
         check_number(name, scale, numbers.Real)
+    if classes > n:
+        raise ConfigurationError(f"classes must be <= n, got classes={classes}, n={n}")
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(classes, latent_dim))
     norms = np.linalg.norm(centers, axis=1, keepdims=True)

@@ -20,7 +20,6 @@ live in `latent.py`, shared with the adversarial path, and class centroids in
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -192,17 +191,15 @@ def retune(model, data):
 def infer_latents(model, data):
     """Latent rows for a whole dataset, by gradient descent through frozen nets.
 
-    Runs through the re-tuned nets when the model has them, for
+    Runs through the re-tuned nets when the model has them, else, with no
+    warning, through the training nets (CPM-Nets' own test-time path), for
     `config.infer_iters` steps at `config.infer_lr` (else `lr_latent`).
     Rows are independent (per-row loss, per-row gradient), so a row
     inferred alone gets the same latent up to rounding. Returns the best
     iterate per row by masked reconstruction loss, starting from zeros. Each
     iterate's residuals score it and then drive the step away from it.
     """
-    nets = model.retuned_nets
-    if nets is None:
-        warnings.warn("model has no re-tuned nets; inferring through training nets", stacklevel=2)
-        nets = model.recon_nets
+    nets = model.recon_nets if model.retuned_nets is None else model.retuned_nets
     check_views(nets, data.views)
     if (data.mask.sum(axis=1) == 0).any():
         raise InputError("a sample has no observed view")

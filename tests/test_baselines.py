@@ -79,14 +79,15 @@ def test_class_mean_equals_global_mean_single_class():
         assert np.allclose(va, vb)
 
 
-def test_class_mean_fallback_warns():
-    # class 1 never observes view 0
+def test_class_mean_falls_back_to_the_global_mean():
+    # class 1 never observes view 0; the fallback is the rule, so nothing warns
     views = [np.arange(8.0).reshape(4, 2), np.ones((4, 1))]
     mask = np.array([[1, 1], [1, 1], [0, 1], [0, 1]])
     views[0][2:] = 0
     labels = np.array([0, 0, 1, 1])
     data = MultiViewDataset(views, mask, labels=labels)
-    with pytest.warns(UserWarning, match="fell back"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = impute_baseline(data, CLASS_MEAN)
     assert np.allclose(out.views[0][2], views[0][:2].mean(axis=0))
 
@@ -193,7 +194,7 @@ def dataset_bytes(data):
        share=st.floats(0.0, 1.0), hide_class_0=st.booleans(), seed=st.integers(0, 999))
 def test_every_imputer_fills_only_masked_slots(n, dims, share, hide_class_0, seed):
     # share scales the rate up to the feasible most; hide_class_0 leaves class 0
-    # without a single observation of view 0, so class-mean falls back there
+    # without a single observation of view 0, so class-mean falls back to the global mean there
     data = synth_dataset(n, 3, 2, dims, seed=seed)
     rate = share * (len(dims) - 1) / len(dims)
     mask = apply_missing_pattern(data, MissingSpec(rate, seed=seed)).mask.copy()
@@ -205,11 +206,13 @@ def test_every_imputer_fills_only_masked_slots(n, dims, share, hide_class_0, see
     before = dataset_bytes(masked)
     model = train_unsupervised(masked, GanConfig(latent_dim=2, epochs=2, hidden_dims=(3,),
                                                  seed=seed))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        outs = {kind: impute_baseline(masked, kind, svd_params=SvdParams(iters=5))
-                for kind in (GLOBAL_MEAN, CLASS_MEAN, SVD)}
-    assert any("fell back" in str(w.message) for w in caught) or not hide_class_0
+    outs = {kind: impute_baseline(masked, kind, svd_params=SvdParams(iters=5))
+            for kind in (GLOBAL_MEAN, CLASS_MEAN, SVD)}
+    if hide_class_0:  # each class-0 row of view 0 holds view 0's observed mean
+        seen = masked.views[0][mask[:, 0] == 1]
+        want = seen.mean(axis=0) if len(seen) else np.zeros(dims[0])
+        got = outs[CLASS_MEAN].views[0][data.labels == 0]
+        assert got.tobytes() == np.tile(want, (len(got), 1)).tobytes()
     outs["adversarial"] = impute(model, masked).completed
     for kind, out in outs.items():
         assert dataset_bytes(masked) == before, kind

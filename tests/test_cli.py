@@ -264,7 +264,7 @@ def test_sweep_unknown_method_exits_2(complete_dir, tmp_path, capsys):
 
 
 def test_sweep_leaves_warning_filters_as_it_found_them(complete_dir, tmp_path):
-    # the cells silence warnings only while they run
+    # no cell touches the warning filters
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"latent_dim": 3, "hidden_dims": [4], "infer_iters": 5}))
     before = list(warnings.filters)
@@ -308,6 +308,42 @@ def test_impute_refuses_svd_flags_without_svd(tmp_path, capsys, flags, name):
     rc = run_cli("impute", "--data", tmp_path / "no-data.json", *flags, "--out", out)
     assert rc == 2  # a missing --data would exit 3: the flags are refused before any read
     assert f"error: {name} applies to --method svd only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train-sup", ["--lambda", -1], "lam must be > 0, got -1.0"),
+    ("train-sup", ["--epochs", 0], "epochs must be >= 1, got 0"),
+    ("train-sup", ["--train-frac", "nan"], "--train-frac: train_fraction must be finite, got nan"),
+    ("train-unsup", ["--lr", -1], "lr must be > 0, got -1.0"),
+    ("impute", ["--method", "svd", "--rank", 0], "rank must be >= 1, got 0"),
+    ("mask", ["--eta", 1.5], "--eta: target_rate 1.5 outside [0, 1)"),
+    ("sweep", ["--epochs", 0], "epochs must be >= 1, got 0"),
+    ("sweep", ["--methods", "mean-nc", "--epochs", 0], "epochs must be >= 1, got 0"),
+])
+def test_every_command_refuses_a_bad_setting_before_it_reads_a_file(tmp_path, capsys, command,
+                                                                     flags, message):
+    out = tmp_path / "x"
+    rc = run_cli(command, "--data", tmp_path / "no-data.json", *flags, "--out", out)
+    assert rc == 2  # a missing --data would exit 3: the setting is refused before any read
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n", 0], "--n: n must be >= 1, got 0"),
+    (["--classes", 0], "--classes: classes must be >= 1, got 0"),
+    (["--zdim", 0], "--zdim: latent_dim must be >= 1, got 0"),
+    (["--view-dims", "4,0"], "--view-dims: view_dims[1] must be >= 1, got 0"),
+    (["--noise", -1], "--noise: noise_scale must be >= 0, got -1.0"),
+    (["--center-scale", "nan"], "--center-scale: center_scale must be finite, got nan"),
+    (["--nuisance", "inf"], "--nuisance: nuisance_scale must be finite, got inf"),
+    (["--n", 1, "--classes", 3], "--classes: classes must be <= n, got classes=3, n=1"),
+])
+def test_synth_errors_name_the_flag(tmp_path, capsys, flags, message):
+    out = tmp_path / "x"
+    assert run_cli("synth", *flags, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -488,6 +524,7 @@ def test_wrong_typed_or_retired_config_value_exits_2(complete_dir, tmp_path, cap
 
 @pytest.mark.parametrize("command, flag, key", [
     ("train-sup", "--hidden-dims", "hidden_dims"),
+    ("train-unsup", "--hidden-dims", "hidden_dims"),
     ("synth", "--view-dims", "view_dims"),
     ("sweep", "--rates", "rates"),
 ])
@@ -496,7 +533,7 @@ def test_non_numeric_list_flag_exits_2(complete_dir, tmp_path, capsys, command, 
     if command != "synth":
         argv += ["--data", complete_dir / "dataset.json"]
     assert run_cli(*argv) == 2
-    assert key in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {flag}: {key} must be ")
 
 
 def test_bad_byte_in_a_view_csv_exits_2_naming_the_file(complete_dir, tmp_path, capsys):
@@ -554,8 +591,7 @@ def test_every_config_flag_reaches_its_config(command):
         argv += [action.option_strings[0], text]
     args = parser.parse_args(argv)
     for config_cls in CONFIG_COMMANDS[command]:
-        merged = cli._settings(args, PRESETS[config_cls], config_cls)
-        config = config_cls(**merged)
+        config = cli._config(args, PRESETS[config_cls], config_cls)
         for dest, value in expected.items():
             if dest in field_names(config_cls):
                 assert getattr(config, dest) == value, dest

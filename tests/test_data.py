@@ -125,7 +125,7 @@ def snapshot(data):
 @given(n=st.integers(1, 30), dims=st.lists(st.integers(1, 4), min_size=1, max_size=4),
        rate=st.floats(0.0, 0.99), seed=st.integers(0, 2**32 - 1))
 def test_missing_pattern_properties(n, dims, rate, seed):
-    data = synth_dataset(n, 3, 2, dims, seed=seed % 1000)
+    data = synth_dataset(n, min(n, 3), 2, dims, seed=seed % 1000)
     before = snapshot(data)
     v = len(dims)
     total = int(np.rint(rate * n * v))
@@ -349,6 +349,14 @@ def test_synth_dataset_shapes_and_balance():
     again = synth_dataset(60, classes=4, latent_dim=6, view_dims=[7, 5, 3], seed=1)
     for a, b in zip(data.views, again.views):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n, classes", [(1, 3), (2, 3), (5, 6)])
+def test_synth_dataset_refuses_more_classes_than_samples(n, classes):
+    with pytest.raises(ConfigurationError,
+                       match=rf"^classes must be <= n, got classes={classes}, n={n}$"):
+        synth_dataset(n, classes, 2, [3])
+    assert synth_dataset(classes, classes, 2, [3]).n_classes == classes  # classes == n is legal
 
 
 def test_synth_dataset_classes_are_separable():

@@ -34,7 +34,8 @@ def keyword(entry, name):
 
 
 def synth(**kw):
-    return synth_dataset(**{"n": 6, "classes": 2, "latent_dim": 2, "view_dims": [3, 2], **kw})
+    # one class, so that n's boundary (n=1) is a legal dataset
+    return synth_dataset(**{"n": 6, "classes": 1, "latent_dim": 2, "view_dims": [3, 2], **kw})
 
 
 # (entry point, setting, kind, positive, None allowed, call with the setting set to v)

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -438,10 +439,16 @@ def test_infer_latent_uses_config_inference_rate():
     assert ((infer_latents(slow, data) - TARGET) ** 2).sum(axis=1).min() > 1.0
 
 
-def test_infer_latent_warns_without_retuned_nets():
-    model = with_infer_iters(make_identity_model(2, retuned=False), 5)
-    with pytest.warns(UserWarning, match="re-tuned"):
-        infer_latents(model, rows_dataset(np.ones(2)))
+def test_infer_latent_without_retuned_nets_runs_through_training_nets():
+    # CPM-Nets' own test-time path: a model that was never re-tuned infers
+    # through its training nets, and nothing warns
+    untuned = make_identity_model(3, retuned=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = infer_latents(untuned, rows_dataset(TARGET))
+    through_recon = replace(untuned, retuned_nets=untuned.recon_nets)
+    assert h.tobytes() == infer_latents(through_recon, rows_dataset(TARGET)).tobytes()
+    assert ((h - TARGET) ** 2).sum(axis=1).max() < 1e-4
 
 
 def test_infer_latents_checks_the_nets_it_infers_through():
