@@ -307,12 +307,14 @@ def synth_dataset(
     class-independent variance component along one random direction, which
     makes plain Euclidean classifiers struggle while leaving the class
     structure intact. Balanced labels, deterministic per seed. The sizes are
-    integers >= 1 with classes <= n, seed an integer >= 0 and the scales
-    finite numbers >= 0.
+    integers >= 1 with classes <= n and at least one view, seed an integer
+    >= 0 and the scales finite numbers >= 0.
     """
     for name, size in (("n", n), ("classes", classes), ("latent_dim", latent_dim),
                        *((f"view_dims[{v}]", d) for v, d in enumerate(view_dims))):
         check_number(name, size, numbers.Integral, positive=True)
+    if len(view_dims) == 0:
+        raise ConfigurationError("view_dims must list at least one view width, got none")
     check_number("seed", seed, numbers.Integral)
     for name, scale in (("noise_scale", noise_scale), ("center_scale", center_scale),
                         ("nuisance_scale", nuisance_scale)):

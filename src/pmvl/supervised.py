@@ -103,18 +103,19 @@ def classification_loss(latent, labels, centroids):
     return float(np.maximum(margin + gap, 0.0).mean())
 
 
-def latent_gradients(nets, latent, data, labels, centroids, lam):
+def latent_gradients(nets, latent, data, labels, centroids, lam, acts=None):
     """Per-row gradient of the per-sample objective.
 
     Row n of the result differentiates sum_v s_nv ||f_v(h_n) - x_n||^2
     plus lam times that sample's margin term, with centroids held constant.
     The dataset-level objective divides by N, so its gradient is this
     result over N; updates use the undivided rows to keep step sizes
-    independent of dataset size.
+    independent of dataset size. `acts` holds each net's activations on
+    latent.H when known.
     """
     h = latent.H
-    res = residuals(nets, h, data.views, data.mask)
-    g = latent_pullback(nets, h, [2.0 * r for r in res])
+    res = residuals(nets, h, data.views, data.mask, acts)
+    g = latent_pullback(nets, h, [2.0 * r for r in res], acts)
     predicted = (h @ centroids.T).argmax(axis=1)
     mis = predicted != labels
     if mis.any():
@@ -123,20 +124,31 @@ def latent_gradients(nets, latent, data, labels, centroids, lam):
 
 
 def train(data, config=None):
-    """Per epoch, one decoder step then one latent step against the epoch's centroids."""
+    """Per epoch, one decoder step then one latent step against the epoch's centroids.
+
+    Each decoder is evaluated on the latent table once before epoch 0 and
+    twice per epoch: after the decoder step, for the latent step, and after
+    the latent step, for the objective and the next epoch's decoder step.
+    """
     config = config or TrainConfig()
     if data.labels is None:
         raise InputError("supervised training needs labels")
     n = data.n_samples
     latent, nets, _ = init_latent_model(data, config, config.l2_coefficient)
     trace = []
+    # acts[v][0] is latent.H itself, which the latent step rewrites in place,
+    # so activations are taken afresh after every change to the nets or to H
+    acts = [activations(net, latent.H) for net in nets]
     for epoch in range(config.epochs):
         centroids = class_centroids(latent.H, data.labels, data.n_classes)
-        for net, r in zip(nets, residuals(nets, latent.H, data.views, data.mask)):
-            sgd_step(net, backward(net, latent.H, (2.0 / n) * r), config.lr_nets)
+        res = residuals(nets, latent.H, data.views, data.mask, acts)
+        for net, r, a in zip(nets, res, acts):
+            sgd_step(net, backward(net, latent.H, (2.0 / n) * r, a), config.lr_nets)
+        acts = [activations(net, latent.H) for net in nets]
         latent.H -= config.lr_latent * latent_gradients(
-            nets, latent, data, data.labels, centroids, config.lam)
-        obj = reconstruction_loss(nets, latent, data)
+            nets, latent, data, data.labels, centroids, config.lam, acts)
+        acts = [activations(net, latent.H) for net in nets]
+        obj = reconstruction_loss(nets, latent, data, acts)
         obj += config.lam * classification_loss(latent, data.labels, centroids)
         obj += sum(l2_penalty(net) for net in nets)
         check_finite(obj, "objective", epoch)

@@ -8,7 +8,6 @@ so the asserted thresholds are stable. Budgets are wall-clock ceilings.
 import itertools
 import json
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,9 +100,7 @@ def run_desk_seed(seed, eta):
     train_d, test_d = split(masked, 0.7, seed=seed)
 
     model = train(train_d, desk_config(seed))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        acc_pre = evaluate(model, test_d).accuracy
+    acc_pre = evaluate(model, test_d).accuracy
     model = retune(model, train_d)
     acc_post = evaluate(model, test_d).accuracy
 
@@ -347,9 +344,7 @@ def test_criterion_02_loss_invariants(capsys):
     masked = apply_missing_pattern(truth, MissingSpec(0.4, seed=3))
     observed_kept = True
     fills = [impute_baseline(masked, kind) for kind in (GLOBAL_MEAN, CLASS_MEAN)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fills.append(impute_baseline(masked, SVD))
+    fills.append(impute_baseline(masked, SVD))
     gmodel = train_unsupervised(masked, GanConfig(latent_dim=4, epochs=20,
                                                   hidden_dims=(8,), seed=0))
     fills.append(impute(gmodel, masked).completed)
@@ -582,16 +577,12 @@ def test_criterion_10_cli_determinism(capsys, tmp_path):
     }
     first = {}
     for name, argv in commands.items():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            run_cli(*argv)
+        run_cli(*argv)
         out_dir = Path(str(argv[argv.index("--out") + 1]))
         first[name] = stable_outputs(out_dir)
     stable = []
     for name, argv in commands.items():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            run_cli(*argv)
+        run_cli(*argv)
         out_dir = Path(str(argv[argv.index("--out") + 1]))
         if stable_outputs(out_dir) == first[name]:
             stable.append(name)

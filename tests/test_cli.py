@@ -339,6 +339,8 @@ def test_every_command_refuses_a_bad_setting_before_it_reads_a_file(tmp_path, ca
     (["--center-scale", "nan"], "--center-scale: center_scale must be finite, got nan"),
     (["--nuisance", "inf"], "--nuisance: nuisance_scale must be finite, got inf"),
     (["--n", 1, "--classes", 3], "--classes: classes must be <= n, got classes=3, n=1"),
+    (["--view-dims", ""], "--view-dims: view_dims must list at least one view width, got none"),
+    (["--view-dims", ","], "--view-dims: view_dims must list at least one view width, got none"),
 ])
 def test_synth_errors_name_the_flag(tmp_path, capsys, flags, message):
     out = tmp_path / "x"

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import pmvl.nets
 from pmvl.data import (
     MissingSpec,
     MultiViewDataset,
@@ -20,7 +21,9 @@ from pmvl.latent import (
     residuals,
     squared_error,
 )
-from pmvl.nets import SIGMOID_HIDDEN, DenseNet, backward, forward, l2_penalty, sgd_step
+from pmvl.nets import (
+    SIGMOID_HIDDEN, DenseNet, activations, backward, forward, l2_penalty, sgd_step,
+)
 from pmvl.supervised import (
     SupervisedModel,
     TrainConfig,
@@ -321,6 +324,36 @@ def test_train_is_byte_equal_to_the_reference_loop(epochs, tol, stops_early):
     for a, b in zip(model.recon_nets, nets):
         for pa, pb in zip(a.weights + a.biases, b.weights + b.biases):
             assert pa.tobytes() == pb.tobytes()
+
+
+@pytest.mark.parametrize("epochs, tol, stops_early", [(25, 1e-300, False), (200, 1e-2, True)])
+def test_train_evaluates_each_decoder_twice_per_epoch(monkeypatch, epochs, tol, stops_early):
+    # one hidden layer, so each pass over a decoder calls sigmoid exactly once
+    data = apply_missing_pattern(synth_dataset(30, 3, 4, [6, 5], seed=14, noise_scale=0.05),
+                                 MissingSpec(0.3, seed=14))
+    calls = 0
+    real = pmvl.nets.sigmoid
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return real(x)
+
+    monkeypatch.setattr(pmvl.nets, "sigmoid", counted)
+    model = train(data, small_config(epochs=epochs, tol=tol, hidden_dims=(16,)))
+    epochs_run = len(model.objective_trace)
+    assert (epochs_run < epochs) == stops_early
+    assert calls == data.n_views * (2 * epochs_run + 1)
+
+
+def test_latent_gradients_with_activations_are_byte_equal():
+    data = apply_missing_pattern(synth_dataset(30, 3, 4, [6, 5], seed=15, noise_scale=0.05),
+                                 MissingSpec(0.3, seed=15))
+    model = train(data, small_config(epochs=5))
+    nets, latent = model.recon_nets, model.latent
+    acts = [activations(net, latent.H) for net in nets]
+    args = (nets, latent, data, data.labels, model.centroids, 1.0)
+    assert latent_gradients(*args, acts).tobytes() == latent_gradients(*args).tobytes()
 
 
 # -------------------------------------------------------------- retuning
